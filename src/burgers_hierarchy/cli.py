@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import fdsolve, hopfcole, liealg, prolong
 from .hierarchy import build_companion, build_delta, build_symmetry_field
-from .prolong import kappa_poly_coefficients
+from .prolong import kappa_poly_coefficients, poly_rem
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -112,7 +112,7 @@ def _load_catalog(path: str, m: int) -> list[hopfcole.HeatSolution]:
         raise ConfigError(f"catalog is not valid JSON: {exc}") from exc
     try:
         vs = hopfcole.catalog_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad catalog entry: {exc}") from exc
     if len(vs) != m:
         raise ConfigError(f"catalog has {len(vs)} entries, need m={m}")
@@ -162,20 +162,6 @@ def _kappa_target(m: int) -> list[Fraction]:
     return _KAPPA_TARGETS.get(m, _KAPPA_DEFAULT_TARGET)
 
 
-def _poly_divisible(coeffs: list[Fraction], divisor: list[Fraction]) -> bool:
-    rem = list(coeffs)
-    while len(rem) >= len(divisor) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(divisor):
-            break
-        f = rem[-1] / divisor[-1]
-        shift = len(rem) - len(divisor)
-        for i, c in enumerate(divisor):
-            rem[shift + i] -= f * c
-    return not any(rem)
-
-
 def _verify_one(kind: str, m: int) -> dict:
     if kind == "theorem":
         return prolong.verify_theorem(m).to_json_dict()
@@ -193,8 +179,7 @@ def _verify_one(kind: str, m: int) -> dict:
         poly = prolong.verify_kappa_constraint(m)
         coeffs = kappa_poly_coefficients(poly)
         target = _kappa_target(m)
-        ok = _poly_divisible(coeffs, target)
-        if not ok:
+        if poly_rem(coeffs, target):
             raise prolong.VerificationError(
                 f"m={m}: constraint {poly} is not divisible by the expected factor"
             )
@@ -464,8 +449,10 @@ def main(argv=None) -> int:
             prolong.ExtractionError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    # ArithmeticError covers overflow, a zero determinant hit while
+    # evaluating, solver blow-up and CFL failures
     except (hopfcole.SingularSystemError, hopfcole.CertificationError,
-            fdsolve.SolverBlowupError, fdsolve.CFLError) as exc:
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError and invalid parameters

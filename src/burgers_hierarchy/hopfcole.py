@@ -95,14 +95,6 @@ class HeatSolution:
                 f"{self.label or self.expr}: v_t - v_xx = {residual} != 0"
             )
 
-    def dx(self, n: int = 1) -> Expr:
-        e = self.expr
-        for _ in range(n):
-            e = total_derivative(e, "x")
-            if self.rules is not None:
-                e = self.rules.apply(e)
-        return e
-
 
 def heat_constant(value) -> HeatSolution:
     return HeatSolution(as_expr(_as_rat(value)), label=f"const({value})")
@@ -313,9 +305,6 @@ class ExactSolution:
         env = self._env(t, x)
         d = eval_expr(self.det, env)
         return [eval_expr(n, env) / d for n in self.numerators]
-
-    def det_value(self, t: float, x: float) -> float:
-        return eval_expr(self.det, self._env(t, x))
 
     def guard_ok(self, t: float, x: float, rel_tol: float = SINGULARITY_REL_TOL) -> bool:
         """Reject points too close to the determinant's zero set,

@@ -151,45 +151,22 @@ def manifold_rules(m: int, field: VectorField) -> ManifoldRules:
     if field.tau != ONE:
         raise ValueError("surface-condition rules require the normalized form tau = 1")
     k = field.tier
-    system = build_delta(m, tier=k)
     rules: dict[JetCoord, Expr] = {}
-
-    def reduce(e: Expr) -> Expr:
-        return SubstitutionMap(rules).apply(e) if rules else e
-
-    # u_a,t from Q_a = 0
     for a in range(1, m + 1):
-        rules[JetCoord(k, a, nt=1)] = field.etas[a - 1] - field.xi * jet(k, a, nx=1)
-    # u_a,xx from the solved form, with u_a,t already eliminated
-    for a in range(1, m + 1):
-        rhs = (field.etas[a - 1] - field.xi * jet(k, a, nx=1)) + jet(k, a) * jet(k, 1, nx=1)
+        q_rhs = field.etas[a - 1] - field.xi * jet(k, a, nx=1)
+        # u_a,t from Q_a = 0
+        rules[JetCoord(k, a, nt=1)] = q_rhs
+        # u_a,xx from the solved form, with u_a,t already eliminated
+        xx_rhs = q_rhs + jet(k, a) * jet(k, 1, nx=1)
         if a < m:
-            rhs = rhs + jet(k, a + 1, nx=1)
-        rules[JetCoord(k, a, nx=2)] = rhs
-    # differentiated surface conditions, reduced through the rules so far
-    for a in range(1, m + 1):
-        q_rhs = field.etas[a - 1] - field.xi * jet(k, a, nx=1)
-        rules[JetCoord(k, a, 1, 1)] = reduce(_dx(q_rhs))
-    for a in range(1, m + 1):
-        q_rhs = field.etas[a - 1] - field.xi * jet(k, a, nx=1)
-        rules[JetCoord(k, a, 2, 0)] = reduce(_dt(q_rhs))
-    # third-order x derivatives from the differentiated solved form
-    for a in range(1, m + 1):
-        rules[JetCoord(k, a, 0, 3)] = reduce(_dx(rules[JetCoord(k, a, 0, 2)]))
-    _assert_acyclic(rules)
+            xx_rhs = xx_rhs + jet(k, a + 1, nx=1)
+        rules[JetCoord(k, a, nx=2)] = xx_rhs
+        # differential consequences; SubstitutionMap closes them against
+        # the rules above
+        rules[JetCoord(k, a, 1, 1)] = _dx(q_rhs)
+        rules[JetCoord(k, a, 2, 0)] = _dt(q_rhs)
+        rules[JetCoord(k, a, 0, 3)] = _dx(xx_rhs)
     return ManifoldRules(m, k, SubstitutionMap(rules))
-
-
-def _assert_acyclic(rules: dict[JetCoord, Expr]):
-    from .symcore import contains_atom
-
-    for lhs, rhs in rules.items():
-        for other in rules:
-            if contains_atom(rhs, other):
-                raise ValueError(
-                    f"inconsistent rule set: {lhs.render()} rewrites to an "
-                    f"expression still containing {other.render()}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -388,29 +365,33 @@ def kappa_poly_coefficients(e: Expr) -> list[Fraction]:
     return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
 
 
+def poly_rem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Remainder of p modulo a nonzero q, both coefficient lists
+    [c0, c1, ...]; the result has no trailing zeros, so it is empty
+    exactly when q divides p."""
+    p, q = _trim(p), _trim(q)
+    while len(p) >= len(q):
+        f = p[-1] / q[-1]
+        shift = len(p) - len(q)
+        for i, c in enumerate(q):
+            p[shift + i] -= f * c
+        p = _trim(p)
+    return p
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def norm(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    def rem(p, q):
-        p = list(p)
-        while len(p) >= len(q) and norm(p):
-            f = p[-1] / q[-1]
-            shift = len(p) - len(q)
-            for i, c in enumerate(q):
-                p[shift + i] -= f * c
-            p = norm(p)
-        return p
-
-    a, b = norm(list(a)), norm(list(b))
+    """Monic gcd by Euclid; gcd(0, b) is b made monic."""
+    a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, rem(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, poly_rem(a, b)
+    return [c / a[-1] for c in a] if a else a
 
 
 def _poly_from_coeffs(coeffs: list[Fraction]) -> Expr:
@@ -440,13 +421,9 @@ def verify_kappa_constraint(m: int) -> Expr:
         constraints = _kappa_obstructions_single()
     if not constraints:
         raise ExtractionError(f"m={m}: no kappa constraint found")
-    g = constraints[0]
-    for c in constraints[1:]:
+    g: list[Fraction] = []
+    for c in constraints:
         g = _poly_gcd(g, c)
-    while g and g[-1] == 0:
-        g = g[:-1]
-    if g and g[-1] != 1:
-        g = [c / g[-1] for c in g]
     return _poly_from_coeffs(g)
 
 

@@ -37,7 +37,8 @@ class NonPolynomialError(SymbolicError):
 
 
 class SubstitutionCycleError(SymbolicError):
-    """Fixpoint substitution did not terminate within the depth bound."""
+    """Substitution rules depend on each other in a cycle; raised when the
+    rules are closed at construction."""
 
 
 # ---------------------------------------------------------------------------
@@ -556,40 +557,60 @@ def contains_atom(e: Expr, atom: Atom) -> bool:
 
 
 class SubstitutionMap:
-    """Ordered rewrite rules atom -> Expr, applied to fixpoint.
+    """Rewrite rules atom -> Expr, closed against each other at
+    construction so that :meth:`apply` is a single pass.
 
-    A rule may not map an atom to an expression containing that same atom
-    (checked at construction); indirect cycles are caught by the pass
-    bound at application time.
+    A rule depends on every left-hand atom in its right-hand side,
+    including atoms inside function arguments.  Construction visits the
+    rules in dependency order and substitutes each rule's closed
+    dependencies into it, so no right-hand side keeps a left-hand atom.
+    A rule whose right-hand side contains its own atom raises
+    ``ValueError``; rules that depend on each other in a cycle raise
+    :class:`SubstitutionCycleError`.  Independent variables and function
+    applications cannot be rewritten.
     """
 
-    def __init__(self, rules, max_passes: int = 32):
+    def __init__(self, rules):
         if isinstance(rules, Mapping):
             rules = rules.items()
         self.rules: dict[Atom, Expr] = {}
-        self.max_passes = max_passes
+        deps: dict[Atom, dict[Atom, None]] = {}
         for atom, rhs in rules:
             if isinstance(atom, Expr):
                 atom = _single_atom(atom)
-            if isinstance(atom, Var):
-                raise ValueError("independent variables cannot be substituted")
+            if isinstance(atom, (Var, FuncApp)):
+                raise ValueError(f"{atom.render()} cannot be substituted")
             rhs = as_expr(rhs)
-            if contains_atom(rhs, atom):
+            deps[atom] = _nested_atoms(rhs)
+            if atom in deps[atom]:
                 raise ValueError(f"rule for {atom.render()} maps to an expression containing it")
             self.rules[atom] = rhs
+
+        closed: dict[Atom, bool] = {}  # False while a rule's dependencies are being closed
+
+        def close(atom: Atom):
+            state = closed.get(atom)
+            if state is False:
+                raise SubstitutionCycleError(f"substitution rules are cyclic through {atom.render()}")
+            if state:
+                return
+            closed[atom] = False
+            pending = [a for a in deps[atom] if a in self.rules]
+            for a in pending:
+                close(a)
+            if pending:
+                self.rules[atom] = self._apply_once(self.rules[atom])
+            closed[atom] = True
+
+        for atom in self.rules:
+            close(atom)
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def apply(self, e: Expr) -> Expr:
-        for _ in range(self.max_passes):
-            new = self._apply_once(e)
-            if new == e:
-                return new
-            e = new
-        raise SubstitutionCycleError(
-            f"substitution did not reach a fixpoint in {self.max_passes} passes"
-        )
+        """Rewrite every left-hand atom of ``e``, in one pass."""
+        return self._apply_once(e)
 
     def _apply_once(self, e: Expr) -> Expr:
         out = ZERO
@@ -609,6 +630,18 @@ class SubstitutionMap:
         return out
 
 
+def _nested_atoms(e: Expr) -> dict[Atom, None]:
+    """Atoms of ``e`` in order of first occurrence, including those
+    inside function arguments (the atoms :func:`contains_atom` sees)."""
+    out: dict[Atom, None] = {}
+    for mon in e._terms:
+        for a, _ in mon:
+            out[a] = None
+            if isinstance(a, FuncApp):
+                out.update(_nested_atoms(a.arg))
+    return out
+
+
 def _single_atom(e: Expr) -> Atom:
     if len(e._terms) == 1:
         (mon, c), = e._terms.items()
@@ -618,7 +651,8 @@ def _single_atom(e: Expr) -> Atom:
 
 
 def substitute(e: Expr, rules) -> Expr:
-    """Fixpoint substitution followed by canonicalization."""
+    """Apply ``rules`` (a :class:`SubstitutionMap` or anything its
+    constructor accepts) to ``e``."""
     if not isinstance(rules, SubstitutionMap):
         rules = SubstitutionMap(rules)
     return rules.apply(e)

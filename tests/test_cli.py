@@ -113,6 +113,16 @@ class TestExact:
         assert main(["exact", "--m", "2", "--catalog", path,
                      "--out-dir", str(tmp_path)]) == 3
 
+    def test_overflow_is_numerical_failure(self, tmp_path, catalog):
+        path = catalog([{"kind": "constant", "value": "1e400"}])
+        assert main(["exact", "--m", "1", "--catalog", path,
+                     "--out-dir", str(tmp_path)]) == 3
+
+    def test_zero_denominator_is_config_error(self, tmp_path, catalog):
+        path = catalog([{"kind": "constant", "value": "1/0"}])
+        assert main(["exact", "--m", "1", "--catalog", path,
+                     "--out-dir", str(tmp_path)]) == 4
+
     def test_missing_catalog_is_config_error(self, tmp_path):
         assert main(["exact", "--m", "2", "--catalog", "/nonexistent.json",
                      "--out-dir", str(tmp_path)]) == 4

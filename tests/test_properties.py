@@ -1,0 +1,147 @@
+"""Property tests for substitution.
+
+``SubstitutionMap`` closes its rules at construction and applies them in
+one pass; these tests compare that against the plain fixpoint of
+one-pass substitution with the raw rules, on random acyclic rule sets,
+and check that random cyclic sets are rejected.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from burgers_hierarchy.symcore import (
+    ONE,
+    ZERO,
+    Expr,
+    FuncApp,
+    JetCoord,
+    SubstitutionCycleError,
+    SubstitutionMap,
+    contains_atom,
+    exp,
+    rational,
+)
+
+ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def poly(draw, atoms, max_terms=3):
+    """Small polynomial over ``atoms``, sometimes with an exp() factor."""
+    if not atoms:
+        return rational(draw(st.integers(-3, 3)))
+    out = ZERO
+    for _ in range(draw(st.integers(1, max_terms))):
+        term = rational(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=2)):
+            term = term * Expr.from_atom(a)
+        if draw(st.integers(0, 4)) == 0:
+            term = term * exp(Expr.from_atom(draw(st.sampled_from(atoms))))
+        out = out + term
+    return out
+
+
+@st.composite
+def acyclic_rules(draw):
+    """Rules over a random order of ATOMS in which a left-hand atom may
+    only use atoms later in the order."""
+    order = draw(st.permutations(ATOMS))
+    rules = []
+    for i, atom in enumerate(order):
+        if draw(st.booleans()):
+            rules.append((atom, poly(draw, order[i + 1:])))
+    return rules
+
+
+@st.composite
+def probes(draw):
+    return poly(draw, ATOMS, max_terms=4)
+
+
+def one_pass(e: Expr, raw: dict) -> Expr:
+    out = ZERO
+    for mon, c in e.terms():
+        factor = rational(c.numerator, c.denominator)
+        for a, k in mon:
+            if a in raw:
+                factor = factor * raw[a] ** k
+            elif isinstance(a, FuncApp):
+                factor = factor * Expr.from_atom(FuncApp(a.fname, one_pass(a.arg, raw))) ** k
+            else:
+                factor = factor * Expr.from_atom(a) ** k
+        out = out + factor
+    return out
+
+
+def fixpoint_oracle(e: Expr, rules) -> Expr:
+    raw = dict(rules)
+    for _ in range(len(raw) + 2):
+        new = one_pass(e, raw)
+        if new == e:
+            return e
+        e = new
+    raise AssertionError("acyclic rules did not reach a fixpoint")
+
+
+@PROPERTY
+@given(acyclic_rules(), probes())
+def test_apply_matches_fixpoint_oracle(rules, e):
+    assert SubstitutionMap(rules).apply(e) == fixpoint_oracle(e, rules)
+
+
+@PROPERTY
+@given(acyclic_rules(), probes())
+def test_apply_is_idempotent(rules, e):
+    sm = SubstitutionMap(rules)
+    once = sm.apply(e)
+    assert sm.apply(once) == once
+
+
+@PROPERTY
+@given(acyclic_rules(), probes())
+def test_no_left_hand_atom_survives(rules, e):
+    sm = SubstitutionMap(rules)
+    out = sm.apply(e)
+    for atom in sm.rules:
+        assert not contains_atom(out, atom)
+        for rhs in sm.rules.values():
+            assert not contains_atom(rhs, atom)
+
+
+@st.composite
+def cyclic_rules(draw):
+    """An acyclic set plus a cycle a1 -> a2 -> ... -> a1; each link uses
+    the next atom directly or inside exp()."""
+    order = draw(st.permutations(ATOMS))
+    length = draw(st.integers(2, len(ATOMS)))
+    cycle, rest = order[:length], order[length:]
+    rules = []
+    for i, atom in enumerate(cycle):
+        nxt = Expr.from_atom(cycle[(i + 1) % length])
+        link = exp(nxt) if draw(st.booleans()) else nxt
+        weight = rational(draw(st.integers(-3, 3).filter(bool)))
+        rules.append((atom, weight * link + poly(draw, rest)))
+    for i, atom in enumerate(rest):
+        if draw(st.booleans()):
+            rules.append((atom, poly(draw, rest[i + 1:])))
+    return draw(st.permutations(rules))
+
+
+@PROPERTY
+@given(cyclic_rules())
+def test_cyclic_rules_rejected(rules):
+    with pytest.raises(SubstitutionCycleError):
+        SubstitutionMap(rules)
+
+
+def test_cycle_through_function_argument_rejected():
+    a, b = JetCoord(1, 1), JetCoord(1, 2)
+    with pytest.raises(SubstitutionCycleError):
+        SubstitutionMap([(a, exp(Expr.from_atom(b))), (b, Expr.from_atom(a))])
+
+
+def test_function_application_lhs_rejected():
+    with pytest.raises(ValueError):
+        SubstitutionMap([(FuncApp("exp", ONE), ZERO)])
