@@ -238,21 +238,13 @@ def cmd_verify(args) -> int:
 
 def cmd_exact(args) -> int:
     vs = _load_catalog(args.catalog, args.m)
-    try:
-        sol = hopfcole.solve_exact(args.m, vs)
-    except hopfcole.SingularSystemError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol = hopfcole.solve_exact(args.m, vs)
     outdir = _outdir(args)
     doc = sol.to_json_dict()
     box = tuple(args.box)
     if args.certify:
-        try:
-            report = hopfcole.certify(sol, tol=args.tol, n_points=args.points,
-                                      box=box, seed=args.seed)
-        except hopfcole.CertificationError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        report = hopfcole.certify(sol, tol=args.tol, n_points=args.points,
+                                  box=box, seed=args.seed)
         doc["certification"] = report.to_json_dict()
         print(f"exact m={args.m}: certified ({report.mode}), "
               f"max residual {report.max_residual:.3e}")
@@ -267,11 +259,7 @@ def cmd_exact(args) -> int:
 
 def cmd_solve(args) -> int:
     vs = _load_catalog(args.catalog, args.m)
-    try:
-        sol = hopfcole.solve_exact(args.m, vs)
-    except hopfcole.SingularSystemError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol = hopfcole.solve_exact(args.m, vs)
     boundary = "periodic" if args.periodic else "dirichlet"
     grid = fdsolve.Grid1D(args.x_min, args.x_max, args.nx, args.dt, args.t_end,
                           boundary=boundary)
@@ -279,11 +267,7 @@ def cmd_solve(args) -> int:
     bc = None if args.periodic else fdsolve.make_boundary(sol, grid)
     snaps = sorted({args.t_start + s for s in (args.snapshots or [])}
                    | {args.t_start + args.t_end})
-    try:
-        states = fdsolve.solve_ivp(args.m, initial, grid, snaps, bc)
-    except (fdsolve.SolverBlowupError, fdsolve.CFLError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    states = fdsolve.solve_ivp(args.m, initial, grid, snaps, bc)
     outdir = _outdir(args)
     xs = grid.xs()
     header = ["t", "x"] + [f"u{a}" for a in range(1, args.m + 1)]
@@ -306,18 +290,11 @@ def cmd_solve(args) -> int:
 
 def cmd_convergence(args) -> int:
     vs = _load_catalog(args.catalog, args.m)
-    try:
-        sol = hopfcole.solve_exact(args.m, vs)
-        report = fdsolve.convergence_study(
-            args.m, sol, args.ladder, args.x_min, args.x_max, args.t_end,
-            dt_scale=args.dt_scale, t_start=args.t_start,
-        )
-    except hopfcole.SingularSystemError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (fdsolve.SolverBlowupError, fdsolve.CFLError) as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sol = hopfcole.solve_exact(args.m, vs)
+    report = fdsolve.convergence_study(
+        args.m, sol, args.ladder, args.x_min, args.x_max, args.t_end,
+        dt_scale=args.dt_scale, t_start=args.t_start,
+    )
     outdir = _outdir(args)
     write_json(outdir / f"convergence_m{args.m}.json", report.to_json_dict(),
                args.no_meta)

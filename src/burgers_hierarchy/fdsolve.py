@@ -1,10 +1,11 @@
 """Finite-difference initial-value solver for the coupled systems.
 
 Semi-implicit scheme on a uniform 1-D grid: the stiff diffusion term is
-treated implicitly (theta-weighted, trapezoidal by default, one
-tridiagonal solve per component and step), while the advection and
-coupling terms u_a * u_1,x and u_{a+1},x use second-order central
-differences evaluated at the previous time level.  The advective CFL
+treated implicitly (theta-weighted, trapezoidal by default), while the
+advection and coupling terms u_a * u_1,x and u_{a+1},x use second-order
+central differences evaluated at the previous time level.  The implicit
+operator is built and factored once per grid and substep length, and each
+substep solves all m components in one call.  The advective CFL
 constraint dt <= c_adv * dx / max|u_1| is enforced by adaptive
 substepping.
 
@@ -15,12 +16,13 @@ validation runs) or is periodic (free exploration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csc_matrix, lil_matrix
+from scipy.sparse import diags
 from scipy.sparse.linalg import factorized
 
 
@@ -86,76 +88,60 @@ class GridField:
 
 def _central_dx(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2 * dx)
+        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2 * dx)
     out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2 * dx)
+    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2 * dx)
     # one-sided at the ends; these rows are overwritten by boundary data
-    out[0] = (u[1] - u[0]) / dx
-    out[-1] = (u[-1] - u[-2]) / dx
+    out[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    out[..., -1] = (u[..., -1] - u[..., -2]) / dx
     return out
 
 
 def _apply_diffusion(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / dx ** 2
+        return (np.roll(u, -1, axis=-1) - 2 * u + np.roll(u, 1, axis=-1)) / dx ** 2
     out = np.zeros_like(u)
-    out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
+    out[..., 1:-1] = (u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]) / dx ** 2
     return out
 
 
-class _DirichletSolver:
-    """Banded (I - theta*h*L) solver with identity boundary rows."""
+@functools.lru_cache(maxsize=8)
+def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
+                     theta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for (I - theta*h*L) y = rhs with an (nx, k) right-hand side.
 
-    def __init__(self, nx: int, dx: float, h: float, theta: float):
-        r = theta * h / dx ** 2
-        ab = np.zeros((3, nx))
-        ab[0, 2:] = -r          # superdiagonal (interior rows)
-        ab[1, :] = 1 + 2 * r    # diagonal
-        ab[2, :-2] = -r         # subdiagonal
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        self.ab = ab
+    Dirichlet rows are identity rows (the boundary data sits in the
+    right-hand side); periodic boundaries add the wraparound corners.
+    Non-finite input is not checked here: it propagates to the result,
+    where the caller's blow-up check catches it."""
+    r = theta * h / dx ** 2
+    if boundary == "periodic":
+        mat = diags([-r, -r, 1 + 2 * r, -r, -r], [1 - nx, -1, 0, 1, nx - 1],
+                    shape=(nx, nx), format="csc")
+        return factorized(mat)
+    ab = np.zeros((3, nx))
+    ab[0, 2:] = -r          # superdiagonal (interior rows)
+    ab[1, :] = 1 + 2 * r    # diagonal
+    ab[2, :-2] = -r         # subdiagonal
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab.setflags(write=False)  # shared by every caller of the cached solver
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self.ab, rhs)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return solve_banded((1, 1), ab, rhs, check_finite=False)
 
-
-class _PeriodicSolver:
-    """Prefactored sparse (I - theta*h*L) with wraparound couplings."""
-
-    def __init__(self, nx: int, dx: float, h: float, theta: float):
-        r = theta * h / dx ** 2
-        mat = lil_matrix((nx, nx))
-        mat.setdiag(np.full(nx, 1 + 2 * r))
-        mat.setdiag(np.full(nx - 1, -r), 1)
-        mat.setdiag(np.full(nx - 1, -r), -1)
-        mat[0, nx - 1] = -r
-        mat[nx - 1, 0] = -r
-        self._solve = factorized(csc_matrix(mat))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs)
+    return solve
 
 
 def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
-             bc: BoundaryFn | None, solver) -> np.ndarray:
+             bc: BoundaryFn | None, solve) -> np.ndarray:
     periodic = grid.boundary == "periodic"
-    m, _ = values.shape
     dx = grid.dx
-    u1x = _central_dx(values[0], dx, periodic)
-    new = np.empty_like(values)
-    for a in range(m):
-        adv = values[a] * u1x
-        if a + 1 < m:
-            adv = adv + _central_dx(values[a + 1], dx, periodic)
-        rhs = values[a] + h * ((1 - grid.theta) * _apply_diffusion(values[a], dx, periodic) - adv)
-        if not periodic:
-            left, right = bc(t + h)[a]
-            rhs[0] = left
-            rhs[-1] = right
-        new[a] = solver.solve(rhs)
-    return new
+    adv = values * _central_dx(values[0], dx, periodic)
+    adv[:-1] += _central_dx(values[1:], dx, periodic)
+    rhs = values + h * ((1 - grid.theta) * _apply_diffusion(values, dx, periodic) - adv)
+    if not periodic:
+        rhs[:, [0, -1]] = bc(t + h)
+    return solve(rhs.T).T
 
 
 def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None) -> GridField:
@@ -164,7 +150,7 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None) -> GridFi
     state.check_finite()
     if grid.boundary == "dirichlet" and bc is None:
         raise ValueError("dirichlet boundaries need a boundary-data callable")
-    values = state.values.copy()
+    values = state.values
     umax = float(np.max(np.abs(values[0]))) if values.size else 0.0
     dt_max = grid.c_adv * grid.dx / max(umax, 1e-12)
     nsub = max(1, math.ceil(grid.dt / dt_max))
@@ -173,11 +159,10 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None) -> GridFi
             f"advective CFL needs {nsub} substeps per dt (> {grid.max_substeps})"
         )
     h = grid.dt / nsub
-    make = _PeriodicSolver if grid.boundary == "periodic" else _DirichletSolver
-    solver = make(grid.nx, grid.dx, h, grid.theta)
+    solve = _implicit_solver(grid.boundary, grid.nx, grid.dx, h, grid.theta)
     t = state.time
     for _ in range(nsub):
-        values = _substep(values, t, h, grid, bc, solver)
+        values = _substep(values, t, h, grid, bc, solve)
         t += h
         if not np.all(np.isfinite(values)):
             raise SolverBlowupError(f"solver blow-up at t={t}")

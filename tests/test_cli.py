@@ -108,10 +108,11 @@ class TestExact:
         assert csv[0] == "t,x,u1,u2"
         assert len(csv) == 21
 
-    def test_singular_catalog_exit_code(self, tmp_path, catalog):
+    def test_singular_catalog_exit_code(self, tmp_path, catalog, capsys):
         path = catalog(CATALOG_SINGULAR)
         assert main(["exact", "--m", "2", "--catalog", path,
                      "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     def test_overflow_is_numerical_failure(self, tmp_path, catalog):
         path = catalog([{"kind": "constant", "value": "1e400"}])
