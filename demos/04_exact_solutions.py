@@ -38,7 +38,7 @@ for a, num in enumerate(pair.numerators, start=1):
 print("  guard at (t,x)=(0.5, 1.0):", pair.guard_ok(0.5, 1.0),
       " at (0.5, 3.0):", pair.guard_ok(0.5, 3.0))
 
-# four components from heat polynomials, certified numerically as well
+# four components from heat polynomials, also certified symbolically
 quad = solve_exact(4, [heat_polynomial(n) for n in (1, 2, 3, 4)])
 report = certify(quad, n_points=100)
 print(f"\nfour components from heat polynomials: {report.mode} certification, "

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 verification failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -197,28 +196,12 @@ def cmd_verify(args) -> int:
     outdir = _outdir(args)
     failures = []
     results: dict[int, dict] = {}
-
-    def run(m: int):
-        return m, _verify_one(args.kind, m)
-
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, m) for m in ms]
-            for fut in futures:
-                try:
-                    m, doc = fut.result()
-                    results[m] = doc
-                except (prolong.VerificationError, liealg.NonClosureError,
-                        prolong.ExtractionError) as exc:
-                    failures.append(str(exc))
-    else:
-        for m in ms:
-            try:
-                _, doc = run(m)
-                results[m] = doc
-            except (prolong.VerificationError, liealg.NonClosureError,
-                    prolong.ExtractionError) as exc:
-                failures.append(str(exc))
+    for m in ms:
+        try:
+            results[m] = _verify_one(args.kind, m)
+        except (prolong.VerificationError, liealg.NonClosureError,
+                prolong.ExtractionError) as exc:
+            failures.append(str(exc))
 
     if args.kind == "liealg" and len(results) > 1:
         first = min(results)
@@ -356,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run symbolic verification over a range of m")
     p.add_argument("kind", choices=["theorem", "classical", "liealg", "kappa"])
     p.add_argument("--m", required=True, help="single value or range, e.g. 3 or 1..6")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--max-m", type=int, default=12,
                    help="safety cap for the m range (symbolic cost grows fast)")
     _add_common(p)

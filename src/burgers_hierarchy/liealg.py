@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hierarchy import VectorField, tier_of
+from .linalg import rref
 from .symcore import Expr, ONE, T, X, ZERO, jet, rational
 
 
@@ -88,46 +89,27 @@ def _field_components(f: VectorField) -> list[Expr]:
 
 def _expand_in_basis(target: VectorField, basis: list[VectorField]) -> list[Fraction]:
     """Exact rational coordinates of target in the basis, or raise."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Fraction]] = []  # basis coefficients, then target's
     n = len(basis)
     for ci in range(len(_field_components(target))):
         comps = [_field_components(f)[ci] for f in basis]
-        tcomp = _field_components(target)[ci]
-        monomials = set(tcomp._terms)
+        comps.append(_field_components(target)[ci])
+        monomials = set()
         for c in comps:
             monomials.update(c._terms)
         for mono in monomials:
             rows.append([c._terms.get(mono, Fraction(0)) for c in comps])
-            rhs.append(tcomp._terms.get(mono, Fraction(0)))
 
-    # exact Gaussian elimination on the (overdetermined) system
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    piv_rows = []
-    col = 0
-    r0 = 0
-    for col in range(n):
-        piv = next((r for r in range(r0, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r0], aug[piv] = aug[piv], aug[r0]
-        pv = aug[r0][col]
-        aug[r0] = [v / pv for v in aug[r0]]
-        for r in range(len(aug)):
-            if r != r0 and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[r0])]
-        piv_rows.append((r0, col))
-        r0 += 1
+    # exact elimination on the (overdetermined) system; rows past the
+    # rank are zero on the basis side and must have zero rhs
+    aug, pivots = rref(rows, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        raise NonClosureError(
+            f"{target.name} does not lie in the span of the generators"
+        )
     sol = [Fraction(0)] * n
-    for r, c in piv_rows:
+    for r, c in enumerate(pivots):
         sol[c] = aug[r][n]
-    # consistency: zero rows must have zero rhs
-    for r in range(len(aug)):
-        if all(v == 0 for v in aug[r][:n]) and aug[r][n] != 0:
-            raise NonClosureError(
-                f"{target.name} does not lie in the span of the generators"
-            )
     return sol
 
 

@@ -112,20 +112,15 @@ def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr]) -> tuple[Expr, list[
     return det, numerators
 
 
-def rational_nullvector(vectors: list[dict]) -> list[Fraction] | None:
-    """A nonzero rational combination summing to zero, if one exists.
-
-    ``vectors`` are sparse monomial->Fraction mappings (Expr term dicts).
-    """
-    n = len(vectors)
-    monomials = sorted({m for v in vectors for m in v},
-                       key=lambda mon: tuple((a.sort_key(), k) for a, k in mon))
-    rows = [[v.get(mon, Fraction(0)) for v in vectors] for mon in monomials]
-    # reduce to row echelon, track pivot columns
+def rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan reduction of ``rows``, pivoting in the first
+    ``ncols`` columns only (later columns ride along, e.g. a right-hand
+    side).  Returns the reduced rows and the pivot columns; pivot r sits
+    in row r, and rows from len(pivots) on are zero in the first ncols."""
     aug = [row[:] for row in rows]
-    pivots = []
-    r0 = 0
-    for col in range(n):
+    pivots: list[int] = []
+    for col in range(ncols):
+        r0 = len(pivots)
         piv = next((r for r in range(r0, len(aug)) if aug[r][col] != 0), None)
         if piv is None:
             continue
@@ -137,7 +132,19 @@ def rational_nullvector(vectors: list[dict]) -> list[Fraction] | None:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[r0])]
         pivots.append(col)
-        r0 += 1
+    return aug, pivots
+
+
+def rational_nullvector(vectors: list[dict]) -> list[Fraction] | None:
+    """A nonzero rational combination summing to zero, if one exists.
+
+    ``vectors`` are sparse monomial->Fraction mappings (Expr term dicts).
+    """
+    n = len(vectors)
+    monomials = sorted({m for v in vectors for m in v},
+                       key=lambda mon: tuple((a.sort_key(), k) for a, k in mon))
+    rows = [[v.get(mon, Fraction(0)) for v in vectors] for mon in monomials]
+    aug, pivots = rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None

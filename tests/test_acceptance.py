@@ -181,11 +181,12 @@ def test_criterion_5_exact_solution_certification():
     worst_overall = 0.0
     for m in (3, 4):
         sol = solve_exact(m, [heat_polynomial(n) for n in range(1, m + 1)])
+        ok = ok and certify(sol).mode == "symbolic"
         pts = sample_points(sol, 100, (0.1, 1.0, -3.0, 3.0), seed=91)
         worst = max(abs(v) for (t, x) in pts for v in sol.residual_values(t, x))
         worst_overall = max(worst_overall, worst)
         ok = ok and worst < 1e-10
-    check(5, ok, f"symbolic zeros for m=1,2; max numeric residual "
+    check(5, ok, f"symbolic zeros for m=1..4; max numeric residual "
                  f"{worst_overall:.2e} < 1e-10 for m=3,4 at 100 points")
 
 

@@ -77,10 +77,6 @@ class TestVerify:
         for name in ("verify_kappa_m1.json", "verify_kappa_m2.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_jobs_flag(self, tmp_path):
-        assert main(["verify", "classical", "--m", "1..3", "--jobs", "3",
-                     "--out-dir", str(tmp_path)]) == 0
-
     def test_range_cap(self, tmp_path):
         assert main(["verify", "theorem", "--m", "1..40",
                      "--out-dir", str(tmp_path)]) == 4

@@ -7,11 +7,11 @@ import random
 
 import pytest
 
+from burgers_hierarchy import hopfcole
 from burgers_hierarchy.hopfcole import (
     CertificationError,
     HeatSolution,
     HeatSolutionError,
-    RationalExpr,
     SingularSystemError,
     catalog_from_json,
     certify,
@@ -26,7 +26,7 @@ from burgers_hierarchy.hopfcole import (
     sample_points,
     solve_exact,
 )
-from burgers_hierarchy.symcore import ONE, T, X, cosh, exp, total_derivative
+from burgers_hierarchy.symcore import ONE, T, X, Expr, cos, cosh, exp, sin, total_derivative
 
 
 def traveling_wave_solution():
@@ -146,6 +146,7 @@ class TestCertification:
     @pytest.mark.parametrize("m", [3, 4])
     def test_heat_polynomial_numeric(self, m):
         sol = solve_exact(m, [heat_polynomial(n) for n in range(1, m + 1)])
+        assert certify(sol).mode == "symbolic"
         pts = sample_points(sol, 100, (0.1, 1.0, -3.0, 3.0), seed=4)
         worst = max(abs(v) for (t, x) in pts for v in sol.residual_values(t, x))
         assert worst < 1e-10
@@ -156,16 +157,92 @@ class TestCertification:
 
     def test_failed_certification_raises(self):
         sol = traveling_wave_solution()
-        # sabotage one numerator; residuals no longer vanish
+        # sabotage one numerator; the residual holds exp atoms, so it is
+        # undecided symbolically and the samples must catch it
         sol.numerators[0] = sol.numerators[0] + ONE
         sol._residuals = None
-        with pytest.raises(CertificationError):
-            certify(sol, symbolic_term_limit=0, n_points=10)
+        with pytest.raises(CertificationError, match="exceeds tol"):
+            certify(sol, n_points=10)
+
+    def test_proved_nonzero_residual_raises_without_sampling(self, monkeypatch):
+        sol = rational_pair_solution()
+        # a 1e-20 perturbation is far below any sampling tolerance, but the
+        # residuals are polynomials in t, x, so they prove it wrong
+        sol.numerators[0] = sol.numerators[0] + Fraction(1, 10 ** 20) * X
+        sol._residuals = None
+        assert not sol.residuals()[0].is_zero()
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a proved-wrong solution must not be sampled")
+
+        monkeypatch.setattr(hopfcole, "sample_points", no_sampling)
+        with pytest.raises(CertificationError, match="equation 1"):
+            certify(sol)
+
+    def test_undecided_correct_solution_passes_by_sampling(self):
+        sol = rational_pair_solution()
+        # multiply each numerator by sin^2 + cos^2: the same functions, but
+        # the residuals vanish only through an identity the kernel does
+        # not apply, so they are nonzero with sin/cos atoms
+        pythagoras = sin(X) ** 2 + cos(X) ** 2
+        sol.numerators = [n * pythagoras for n in sol.numerators]
+        assert not any(r.is_zero() for r in sol.residuals())
+        # a box away from the singular set 2t = x^2
+        report = certify(sol, n_points=20, box=(0.1, 1.0, 2.0, 4.0))
+        assert report.mode == "numeric" and report.passed
+        assert report.n_points == 20 and report.max_residual < 1e-12
+
+    def test_residuals_share_the_cubed_determinant(self):
+        sol = rational_pair_solution()
+        residuals = sol.residuals()
+        assert sol.residuals() is residuals   # cached
+        for r in residuals:
+            assert r.den == sol.det ** 3
+            assert r.is_zero()
 
     def test_guard_excludes_singular_points(self):
         sol = rational_pair_solution()   # determinant zero on 2t = x^2
         assert not sol.guard_ok(0.5, 1.0)
         assert sol.guard_ok(0.5, 3.0)
+
+
+class TestSympyOracle:
+    @pytest.mark.parametrize("name", ["wave", "pair", "heatpoly-m3"])
+    def test_rendered_solution_solves_the_system(self, name):
+        sympy = pytest.importorskip("sympy")
+        from sympy.parsing.sympy_parser import (
+            convert_xor, parse_expr, standard_transformations)
+
+        sol = {
+            "wave": traveling_wave_solution,
+            "pair": rational_pair_solution,
+            "heatpoly-m3": lambda: solve_exact(3, [heat_polynomial(n) for n in (1, 2, 3)]),
+        }[name]()
+        t, x = sympy.symbols("t x")
+
+        def parse(text):
+            return parse_expr(text, local_dict={"t": t, "x": x},
+                              transformations=standard_transformations + (convert_xor,))
+
+        doc = sol.to_json_dict()
+        us = [parse(c["numerator"]) / parse(c["denominator"]) for c in doc["components"]]
+        for a, u in enumerate(us):
+            r = sympy.diff(u, t) + u * sympy.diff(us[0], x) - sympy.diff(u, x, 2)
+            if a + 1 < len(us):
+                r += sympy.diff(us[a + 1], x)
+            assert sympy.simplify(r) == 0, f"equation {a + 1}"
+
+
+class TestBenchmarkTracerNames:
+    """perfbench/tracing.py counts residual terms from ``num``/``den`` and
+    certify outcomes from ``CertifyReport.mode``."""
+
+    def test_residual_pairs_and_modes(self):
+        for sol in (traveling_wave_solution(), rational_pair_solution(),
+                    solve_exact(1, [heat_gaussian(1)])):
+            for r in sol.residuals():
+                assert isinstance(r.num, Expr) and isinstance(r.den, Expr)
+            assert certify(sol).mode in {"symbolic", "numeric"}
 
 
 class TestInvariances:
@@ -200,25 +277,6 @@ class TestInvariances:
             t, x = rng.uniform(0.1, 1.0), rng.uniform(2.0, 4.0)
             for a, b in zip(base.evaluate(t, x), mixed.evaluate(t, x)):
                 assert abs(a - b) < 1e-12
-
-
-class TestRationalExpr:
-    def test_quotient_rule(self):
-        u = RationalExpr(X ** 2, T + 1)
-        du = u.derivative("x")
-        assert du.num == 2 * X * (T + 1)
-        assert du.den == (T + 1) ** 2
-
-    def test_no_cancellation(self):
-        # unequal denominators multiply; nothing is silently reduced
-        a = RationalExpr(ONE, X)
-        b = RationalExpr(ONE, X * X)
-        s = a + b
-        assert s.den == X ** 3
-        assert s.num == X * X + X
-        # equal denominators are shared, which is reuse, not cancellation
-        twice = a + a
-        assert twice.den == X and twice.num == 2 * ONE
 
 
 def test_solution_export():

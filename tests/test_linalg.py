@@ -12,6 +12,7 @@ from burgers_hierarchy.linalg import (
     cramer_solve,
     exact_divide,
     rational_nullvector,
+    rref,
 )
 from burgers_hierarchy.symcore import Expr, ONE, T, X, ZERO, jet, rational
 
@@ -115,3 +116,19 @@ class TestNullvector:
 
     def test_independent(self):
         assert rational_nullvector([v._terms for v in (X, T, ONE)]) is None
+
+
+class TestRref:
+    def test_pivots_only_in_leading_columns(self):
+        # x + y = 3, 2x + 2y = 6, x - y = 1: rank 2, consistent
+        rows = [[Fraction(v) for v in r] for r in ([1, 1, 3], [2, 2, 6], [1, -1, 1])]
+        aug, pivots = rref(rows, 2)
+        assert pivots == [0, 1]
+        assert aug[0] == [1, 0, 2] and aug[1] == [0, 1, 1]
+        assert aug[2] == [0, 0, 0]
+        assert rows[0] == [1, 1, 3]   # input left untouched
+
+    def test_skips_zero_column(self):
+        rows = [[Fraction(0), Fraction(2), Fraction(4)]]
+        aug, pivots = rref(rows, 2)
+        assert pivots == [1] and aug == [[0, 1, 2]]

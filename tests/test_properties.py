@@ -1,9 +1,10 @@
-"""Property tests for substitution.
+"""Property tests for substitution and the Bareiss determinant.
 
 ``SubstitutionMap`` closes its rules at construction and applies them in
 one pass; these tests compare that against the plain fixpoint of
 one-pass substitution with the raw rules, on random acyclic rule sets,
-and check that random cyclic sets are rejected.
+and check that random cyclic sets are rejected.  The fraction-free
+determinant is compared against cofactor expansion.
 """
 
 import pytest
@@ -11,8 +12,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from burgers_hierarchy.linalg import bareiss_determinant
 from burgers_hierarchy.symcore import (
     ONE,
+    T,
+    X,
     ZERO,
     Expr,
     FuncApp,
@@ -145,3 +149,38 @@ def test_cycle_through_function_argument_rejected():
 def test_function_application_lhs_rejected():
     with pytest.raises(ValueError):
         SubstitutionMap([(FuncApp("exp", ONE), ZERO)])
+
+
+@st.composite
+def small_polys_in_tx(draw):
+    """Up to three terms c * x^i * t^j with i, j <= 2; zero a third of
+    the time, so pivots vanish and Bareiss has to swap rows."""
+    if draw(st.integers(0, 2)) == 0:
+        return ZERO
+    out = ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        c = rational(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        out = out + c * X ** draw(st.integers(0, 2)) * T ** draw(st.integers(0, 2))
+    return out
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row (the oracle)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = ZERO
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * cofactor_det(minor)
+        det = det + term if j % 2 == 0 else det - term
+    return det
+
+
+@PROPERTY
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(small_polys_in_tx(), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_bareiss_matches_cofactor_expansion(rows):
+    assert bareiss_determinant(rows) == cofactor_det(rows)
