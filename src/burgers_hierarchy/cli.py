@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run symbolic verification over a range of m")
     p.add_argument("kind", choices=["theorem", "classical", "liealg", "kappa"])
     p.add_argument("--m", required=True, help="single value or range, e.g. 3 or 1..6")
-    p.add_argument("--max-m", type=int, default=12,
+    p.add_argument("--max-m", type=int, default=32,
                    help="safety cap for the m range (symbolic cost grows fast)")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)

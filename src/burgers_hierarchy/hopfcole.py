@@ -265,7 +265,6 @@ class ExactSolution:
     numerators: list[Expr]
     det: Expr
     matrix: list[list[Expr]]
-    rhs: list[Expr]
     rules: SubstitutionMap | None
     numeric_atoms: NumericAtomMap
     labels: list[str]
@@ -354,7 +353,7 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
             combo = " + ".join(f"({c})*v{i + 1}" for i, c in enumerate(witness) if c != 0)
             msg += f"; dependency witness: {combo} = 0"
         raise SingularSystemError(msg, witness)
-    det, unknown_nums = cramer_solve(matrix, rhs)
+    _, unknown_nums = cramer_solve(matrix, rhs, det)
     # unknown order is (u_m, ..., u_1): reverse into component order
     numerators = list(reversed(unknown_nums))
     rules: dict = {}
@@ -368,7 +367,6 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
         numerators=numerators,
         det=det,
         matrix=matrix,
-        rhs=rhs,
         rules=SubstitutionMap(rules) if rules else None,
         numeric_atoms=numeric,
         labels=[v.label for v in vs],

@@ -94,11 +94,9 @@ def _expand_in_basis(target: VectorField, basis: list[VectorField]) -> list[Frac
     for ci in range(len(_field_components(target))):
         comps = [_field_components(f)[ci] for f in basis]
         comps.append(_field_components(target)[ci])
-        monomials = set()
-        for c in comps:
-            monomials.update(c._terms)
+        monomials = dict.fromkeys(mono for c in comps for mono in c._terms)
         for mono in monomials:
-            rows.append([c._terms.get(mono, Fraction(0)) for c in comps])
+            rows.append([Fraction(c._terms.get(mono, 0)) for c in comps])
 
     # exact elimination on the (overdetermined) system; rows past the
     # rank are zero on the basis side and must have zero rhs

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcore import Expr, ONE, ZERO
+from .symcore import ONE, ZERO, Expr, _divide_monomial, _grlex_key, _mul_terms
 
 
 class InexactDivisionError(ArithmeticError):
@@ -26,48 +26,25 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
     if p.is_zero():
         return ZERO
 
-    atoms = sorted({a for mon in list(p._terms) + list(d._terms) for a, _ in mon},
-                   key=lambda a: a.sort_key())
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def vec(mon):
-        v = [0] * len(atoms)
-        for a, k in mon:
-            v[index[a]] = k
-        return tuple(v)
-
-    def order_key(mon):
-        v = vec(mon)
-        return (sum(v), v)
-
-    def leading(terms):
-        return max(terms, key=order_key)
-
-    d_lead = leading(d._terms)
-    d_lv = vec(d_lead)
+    key = _grlex_key(p, d)
+    d_lead = max(d._terms, key=key)
     d_lc = d._terms[d_lead]
 
     quotient: dict = {}
     rem = dict(p._terms)
     while rem:
-        p_lead = leading(rem)
-        p_lv = vec(p_lead)
-        if any(pe < de for pe, de in zip(p_lv, d_lv)):
+        p_lead = max(rem, key=key)
+        q_mon = _divide_monomial(p_lead, d_lead)
+        if q_mon is None:
             raise InexactDivisionError("leading term not divisible")
-        q_mon = tuple(
-            (a, pe - de)
-            for a, pe, de in zip(atoms, p_lv, d_lv)
-            if pe - de > 0
-        )
-        q_coeff = rem[p_lead] / d_lc
-        quotient[q_mon] = quotient.get(q_mon, Fraction(0)) + q_coeff
-        q_term = Expr({q_mon: q_coeff})
-        for mon, c in (q_term * d)._terms.items():
-            s = rem.get(mon, Fraction(0)) - c
+        q_coeff = Fraction(rem[p_lead], d_lc)
+        quotient[q_mon] = quotient.get(q_mon, 0) + q_coeff
+        for mon, c in _mul_terms({q_mon: q_coeff}, d._terms).items():
+            s = rem.get(mon, 0) - c
             if s:
                 rem[mon] = s
             else:
-                rem.pop(mon, None)
+                del rem[mon]
     return Expr._make(quotient)
 
 
@@ -95,10 +72,13 @@ def bareiss_determinant(matrix: list[list[Expr]]) -> Expr:
     return det if sign == 1 else -det
 
 
-def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr]) -> tuple[Expr, list[Expr]]:
+def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr],
+                 det: Expr | None = None) -> tuple[Expr, list[Expr]]:
     """Solve matrix * w = rhs exactly: returns (det, numerators) with
-    w_j = numerators[j] / det.  det must not be identically zero."""
-    det = bareiss_determinant(matrix)
+    w_j = numerators[j] / det.  det, the determinant of ``matrix`` (computed
+    when not given), must not be identically zero."""
+    if det is None:
+        det = bareiss_determinant(matrix)
     if det.is_zero():
         raise ZeroDivisionError("matrix is singular over the expression ring")
     numerators = []
@@ -138,12 +118,12 @@ def rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], 
 def rational_nullvector(vectors: list[dict]) -> list[Fraction] | None:
     """A nonzero rational combination summing to zero, if one exists.
 
-    ``vectors`` are sparse monomial->Fraction mappings (Expr term dicts).
+    ``vectors`` are sparse monomial->coefficient mappings (Expr term
+    dicts); the combination is made of Fractions.
     """
     n = len(vectors)
-    monomials = sorted({m for v in vectors for m in v},
-                       key=lambda mon: tuple((a.sort_key(), k) for a, k in mon))
-    rows = [[v.get(mon, Fraction(0)) for v in vectors] for mon in monomials]
+    monomials = dict.fromkeys(m for v in vectors for m in v)
+    rows = [[Fraction(v.get(mon, 0)) for v in vectors] for mon in monomials]
     aug, pivots = rref(rows, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:

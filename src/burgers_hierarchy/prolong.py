@@ -30,6 +30,7 @@ from .symcore import (
     T_ATOM,
     X_ATOM,
     ZERO,
+    _field,
     collect_coefficients,
     jet,
     partial_derivative,
@@ -333,32 +334,21 @@ def kappa_symbol() -> OpaqueSymbol:
 
 def _kappa_poly_parts(e: Expr, kappa: OpaqueDeriv) -> dict[Expr, Expr]:
     """Split e into {non-kappa monomial -> polynomial in kappa}."""
-    parts: dict[Expr, Expr] = {}
+    _, field = _field(kappa)
+    parts: dict[int, dict] = {}
     for mono, coeff in e._terms.items():
-        kpow = 0
-        rest = []
-        for atom, n in mono:
-            if atom == kappa:
-                kpow = n
-            else:
-                rest.append((atom, n))
-        key = Expr({tuple(rest): Fraction(1)})
-        kterm = Expr({((kappa, kpow),) if kpow else (): coeff})
-        parts[key] = parts.get(key, ZERO) + kterm
-    return {key: val for key, val in parts.items() if not val.is_zero()}
+        parts.setdefault(mono & ~field, {})[mono & field] = coeff
+    return {Expr({rest: 1}): Expr(kterms) for rest, kterms in parts.items()}
 
 
 def kappa_poly_coefficients(e: Expr) -> list[Fraction]:
     """Coefficients [c0, c1, ...] of a polynomial in the kappa symbol."""
-    kappa = OpaqueDeriv(kappa_symbol(), ())
+    shift, field = _field(OpaqueDeriv(kappa_symbol(), ()))
     coeffs: dict[int, Fraction] = {}
     for mono, c in e._terms.items():
-        if not mono:
-            coeffs[0] = coeffs.get(0, Fraction(0)) + c
-        elif len(mono) == 1 and mono[0][0] == kappa:
-            coeffs[mono[0][1]] = coeffs.get(mono[0][1], Fraction(0)) + c
-        else:
+        if mono & ~field:
             raise ExtractionError(f"not a pure kappa polynomial: {e}")
+        coeffs[mono >> shift] = Fraction(c)
     if not coeffs:
         return [Fraction(0)]
     deg = max(coeffs)
@@ -526,17 +516,9 @@ def _kappa_obstructions_single() -> list[list[Fraction]]:
 
 def _integrate_poly(e: Expr, atom: JetCoord) -> Expr:
     """Antiderivative in a jet coordinate of a polynomial expression."""
-    out = ZERO
-    for mono, c in e._terms.items():
-        power = 0
-        rest = []
-        for a, n in mono:
-            if a == atom:
-                power = n
-            else:
-                if isinstance(a, OpaqueDeriv) and atom in a.symbol.args:
-                    raise NonPolynomialError(f"cannot integrate {a.render()} in {atom.render()}")
-                rest.append((a, n))
-        term = Expr({tuple(rest): c}) * Expr.from_atom(atom) ** (power + 1)
-        out = out + term / (power + 1)
-    return out
+    for a in e.atoms():
+        if isinstance(a, OpaqueDeriv) and atom in a.symbol.args:
+            raise NonPolynomialError(f"cannot integrate {a.render()} in {atom.render()}")
+    shift, field = _field(atom)
+    return Expr._make({mono + (1 << shift): Fraction(c, ((mono & field) >> shift) + 1)
+                       for mono, c in e._terms.items()})

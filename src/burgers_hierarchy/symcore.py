@@ -5,13 +5,31 @@ over a set of *atoms*: independent variables (:class:`Var`), jet
 coordinates (:class:`JetCoord`), partial derivatives of opaque function
 symbols (:class:`OpaqueDeriv`), and applications of a small set of
 elementary functions (:class:`FuncApp`).  Expressions are canonical by
-construction -- sums of monomials with like terms merged and a fixed
-total order on atoms -- so structural equality is plain ``==`` and
-canonically zero means "the term dictionary is empty".
+construction -- sums of monomials with like terms merged -- so
+structural equality is plain ``==`` and canonically zero means "the term
+dictionary is empty".  Rendering, hashing and :meth:`Expr.terms` order
+monomials by a fixed total order on atoms (:meth:`Atom.sort_key`).
 
-All arithmetic is exact (``fractions.Fraction``); floats are rejected.
-Expressions are immutable and hashable, hence safe to share between
-threads.
+Monomials are *packed*: each atom is interned once per process, in order
+of first use, to an index that owns a fixed bit field of one Python
+``int``, and the field holds the atom's exponent.  Multiplying two
+monomials is one integer addition; differentiating by an atom subtracts
+that atom's unit.  t and x are interned first and own 32-bit fields at
+the low end; every other atom owns an 8-bit field.  The top bit of each
+field is a guard: exponents stay below 2**31 for t and x and below 2**7
+= 128 for other atoms.  Every result is checked once against the guard
+bits, and an exponent past its field raises ``OverflowError`` instead of
+wrapping into the neighbouring field.  A term dict keeps insertion
+order, and :func:`eval_expr` sums in that order; every operation adds
+terms in a fixed order (within a monomial, atoms by ``sort_key``), so
+float evaluation does not depend on the order in which atoms were
+interned.
+
+All arithmetic is exact and floats are rejected.  A coefficient is
+stored as an ``int`` when it is integral and as a ``fractions.Fraction``
+otherwise; :meth:`Expr.terms` and :meth:`Expr.as_rational` return
+``Fraction``.  Expressions are immutable and hashable, hence safe to
+share between threads; the atom registry only grows, under a lock.
 
 The tier label of a jet coordinate (the superscript used when several
 families of dependent variables coexist) participates in atom identity:
@@ -24,7 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 import math
+from operator import or_
+import threading
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 
@@ -191,10 +212,147 @@ class FuncApp(Atom):
 
 
 # ---------------------------------------------------------------------------
-# expressions
+# packed monomials
 
-Monomial = tuple  # tuple[tuple[Atom, int], ...], atoms sorted, exponents >= 1
+Monomial = tuple  # decoded: tuple[tuple[Atom, int], ...], atoms sorted, exponents >= 1
 Scalar = Union[int, Fraction]
+
+_WIDE = 32    # field width of t and x, guard bit included
+_NARROW = 8   # field width of every other atom
+_LOW = 2 * _WIDE  # bits held by the fields of t and x
+
+_ATOMS: list[Atom] = []      # atom of each index
+_INDEX: dict[Atom, int] = {}
+_SHIFT: list[int] = []       # lowest bit of each atom's field
+_FIELD: list[int] = []       # mask of each atom's field
+_KEYS: list = []             # sort_key() of each atom
+_GUARD = 0                   # top bit of every field
+_FUNC_MASK = 0               # fields of FuncApp atoms
+_COMPOUND = 0                # fields of atoms that depend on other atoms
+_LOCK = threading.Lock()
+
+
+def _intern(a: Atom) -> int:
+    i = _INDEX.get(a)
+    if i is None:
+        with _LOCK:
+            i = _INDEX.get(a)
+            if i is None:
+                i = _register(a)
+    return i
+
+
+def _register(a: Atom) -> int:
+    global _GUARD, _FUNC_MASK, _COMPOUND
+    i = len(_ATOMS)
+    if i < 2:
+        width, shift = _WIDE, _WIDE * i
+    else:
+        width, shift = _NARROW, _LOW + _NARROW * (i - 2)
+    field = ((1 << width) - 1) << shift
+    _KEYS.append(a.sort_key())
+    _SHIFT.append(shift)
+    _FIELD.append(field)
+    _ATOMS.append(a)
+    _GUARD |= 1 << (shift + width - 1)
+    if isinstance(a, FuncApp):
+        _FUNC_MASK |= field
+    if isinstance(a, FuncApp) or (isinstance(a, OpaqueDeriv) and a.symbol.args):
+        _COMPOUND |= field
+    _INDEX[a] = i  # last, so an index found is complete
+    return i
+
+
+for _a in (T_ATOM, X_ATOM):  # the wide fields sit at the two lowest positions
+    _intern(_a)
+
+
+def _field_at(bit: int) -> int:
+    """Index of the atom whose field holds ``bit``."""
+    return bit // _WIDE if bit < _LOW else (bit - _LOW) // _NARROW + 2
+
+
+def _fields(p: int) -> list[int]:
+    """Indices of the atoms with a nonzero field in ``p``, lowest field first."""
+    out = []
+    while p:
+        i = _field_at((p & -p).bit_length() - 1)
+        out.append(i)
+        p &= ~_FIELD[i]
+    return out
+
+
+def _exponent(p: int, i: int) -> int:
+    return (p & _FIELD[i]) >> _SHIFT[i]
+
+
+def _monomial(p: int) -> Monomial:
+    """Decode a packed monomial into (atom, exponent) pairs in atom order."""
+    idx = _fields(p)
+    idx.sort(key=_KEYS.__getitem__)
+    return tuple((_ATOMS[i], _exponent(p, i)) for i in idx)
+
+
+def _field(a: Atom) -> tuple[int, int]:
+    """(lowest bit, mask) of the field of atom ``a``."""
+    i = _intern(a)
+    return _SHIFT[i], _FIELD[i]
+
+
+def _overflow(i: int) -> OverflowError:
+    width = _WIDE if i < 2 else _NARROW
+    return OverflowError(f"exponent of {_ATOMS[i].render()} exceeds {(1 << (width - 1)) - 1}, "
+                         f"the limit of its {width}-bit field")
+
+
+def _checked(terms: dict) -> dict:
+    """``terms``, once no exponent has reached the guard bit of its field."""
+    over = reduce(or_, terms, 0) & _GUARD
+    if over:
+        raise _overflow(_field_at((over & -over).bit_length() - 1))
+    return terms
+
+
+def _pack(powers: Mapping[int, int]) -> int:
+    """Packed monomial of {atom index: exponent}."""
+    p = 0
+    for i, k in powers.items():
+        v = k << _SHIFT[i]
+        if v & ~_FIELD[i] or v & _GUARD:
+            raise _overflow(i)
+        p += v
+    return p
+
+
+def _divide_monomial(p: int, d: int) -> int | None:
+    """p / d as a packed monomial, or None when d does not divide p.  A
+    field of p below d's borrows from the next field and so sets its own
+    guard bit."""
+    q = p - d
+    if q < 0 or q & _GUARD:
+        return None
+    return q
+
+
+def _grlex_key(*exprs: "Expr") -> Callable[[int], tuple]:
+    """Sort key of packed monomials over the atoms of ``exprs``: total
+    degree, then the exponents lexicographically, atoms in sort_key order."""
+    idx = _fields(reduce(or_, (reduce(or_, e._terms, 0) for e in exprs), 0))
+    idx.sort(key=_KEYS.__getitem__)
+    cache: dict[int, tuple] = {}
+
+    def key(p: int) -> tuple:
+        k = cache.get(p)
+        if k is None:
+            v = tuple(_exponent(p, i) for i in idx)
+            k = cache[p] = (sum(v), v)
+        return k
+
+    return key
+
+
+# ---------------------------------------------------------------------------
+# coefficients
 
 
 def _as_fraction(v) -> Fraction:
@@ -207,22 +365,79 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
-class Expr:
-    """Canonical polynomial over atoms with Fraction coefficients."""
+def _scalar(v) -> Scalar:
+    """A coefficient: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    c = _as_fraction(v)
+    return c.numerator if c.denominator == 1 else c
 
-    __slots__ = ("_terms", "_key", "_hashval")
+
+def _ints(terms: dict) -> dict:
+    """``terms`` with integral Fraction coefficients stored as int."""
+    if Fraction in set(map(type, terms.values())):
+        for p, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[p] = c.numerator
+    return terms
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term dicts.  Terms appear in the order of the double
+    loop over ``a`` then ``b``; a term that cancels is dropped at once."""
+    if len(b) == 1:
+        (q, d), = b.items()
+        out = {p + q: c * d for p, c in a.items()}
+    elif len(a) == 1:
+        (q, d), = a.items()
+        out = {q + p: d * c for p, c in b.items()}
+    else:
+        out = {}
+        get = out.get
+        for p1, c1 in a.items():
+            for p2, c2 in b.items():
+                p = p1 + p2
+                s = get(p, 0) + c1 * c2
+                if s:
+                    out[p] = s
+                else:
+                    del out[p]
+    return _ints(_checked(out))
+
+
+def _add_into(out: dict, terms: dict):
+    """out += terms; a term that cancels is dropped at once."""
+    get = out.get
+    for p, c in terms.items():
+        s = get(p, 0) + c
+        if s:
+            out[p] = s
+        else:
+            del out[p]
+
+
+# ---------------------------------------------------------------------------
+# expressions
+
+
+class Expr:
+    """Canonical polynomial over atoms: a dict from packed monomial to a
+    nonzero int or Fraction coefficient."""
+
+    __slots__ = ("_terms", "_key", "_hashval", "_plan")
 
     def __init__(self, terms: dict):
         # internal -- use the factory helpers below
         self._terms = terms
         self._key = None
         self._hashval = None
+        self._plan = None
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def _make(terms: dict) -> "Expr":
-        return Expr({m: c for m, c in terms.items() if c != 0})
+        return Expr(_ints(_checked({m: c for m, c in terms.items() if c != 0})))
 
     @staticmethod
     def zero() -> "Expr":
@@ -230,12 +445,12 @@ class Expr:
 
     @staticmethod
     def from_rational(v: Scalar) -> "Expr":
-        c = _as_fraction(v)
-        return Expr({(): c} if c else {})
+        c = _scalar(v)
+        return Expr({0: c} if c else {})
 
     @staticmethod
     def from_atom(a: Atom) -> "Expr":
-        return Expr({((a, 1),): Fraction(1)})
+        return Expr({1 << _SHIFT[_intern(a)]: 1})
 
     # -- inspection ---------------------------------------------------------
 
@@ -243,23 +458,21 @@ class Expr:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise NonPolynomialError(f"{self} is not a rational constant")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get(0, 0))
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self._terms.items(), key=lambda t: _monomial_sort_key(t[0])))
+        items = [(_monomial(p), Fraction(c)) for p, c in self._terms.items()]
+        items.sort(key=lambda t: _monomial_sort_key(t[0]))
+        return iter(items)
 
     def atoms(self) -> set:
         """Atoms occurring at the top level (not inside function arguments)."""
-        out = set()
-        for mon in self._terms:
-            for a, _ in mon:
-                out.add(a)
-        return out
+        return {_ATOMS[i] for i in _fields(reduce(or_, self._terms, 0))}
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -267,9 +480,10 @@ class Expr:
     def _canonical_key(self):
         if self._key is None:
             items = []
-            for mon, c in self._terms.items():
-                mk = tuple((a.sort_key(), k) for a, k in mon)
-                items.append((mk, c))
+            for p, c in self._terms.items():
+                idx = _fields(p)
+                idx.sort(key=_KEYS.__getitem__)
+                items.append((tuple((_KEYS[i], _exponent(p, i)) for i in idx), c))
             items.sort()
             self._key = tuple(items)
         return self._key
@@ -283,13 +497,8 @@ class Expr:
         if not other._terms:
             return self
         terms = dict(self._terms)
-        for mon, c in other._terms.items():
-            s = terms.get(mon, Fraction(0)) + c
-            if s:
-                terms[mon] = s
-            else:
-                terms.pop(mon, None)
-        return Expr(terms)
+        _add_into(terms, other._terms)
+        return Expr(_ints(terms))
 
     __radd__ = __add__
 
@@ -306,16 +515,7 @@ class Expr:
         other = as_expr(other)
         if not self._terms or not other._terms:
             return ZERO
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mon = _merge_monomials(m1, m2)
-                s = terms.get(mon, Fraction(0)) + c1 * c2
-                if s:
-                    terms[mon] = s
-                else:
-                    terms.pop(mon, None)
-        return Expr(terms)
+        return Expr(_mul_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -326,7 +526,7 @@ class Expr:
         c = _as_fraction(other)
         if c == 0:
             raise ZeroDivisionError("division by zero")
-        return Expr({m: v / c for m, v in self._terms.items()})
+        return Expr(_ints({m: v / c for m, v in self._terms.items()}))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -339,8 +539,9 @@ class Expr:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- equality / hashing ---------------------------------------------------
@@ -390,19 +591,6 @@ def as_expr(v) -> Expr:
     return Expr.from_rational(v)
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    powers: dict = {}
-    for a, k in m1:
-        powers[a] = k
-    for a, k in m2:
-        powers[a] = powers.get(a, 0) + k
-    return tuple(sorted(powers.items(), key=lambda p: p[0].sort_key()))
-
-
 def _monomial_sort_key(mon: Monomial):
     # graded order: total degree first, then lexicographic on atom keys;
     # higher-degree terms render first
@@ -411,7 +599,7 @@ def _monomial_sort_key(mon: Monomial):
 
 
 ZERO = Expr({})
-ONE = Expr({(): Fraction(1)})
+ONE = Expr({0: 1})
 
 
 # convenience constructors -----------------------------------------------------
@@ -481,18 +669,38 @@ _FUNC_EVAL = {
 
 
 def _leibniz(e: Expr, atom_diff: Callable[[Atom], Expr]) -> Expr:
-    out = ZERO
-    for mon, c in e._terms.items():
-        for i, (a, k) in enumerate(mon):
-            da = atom_diff(a)
-            if da.is_zero():
-                continue
-            rest = list(mon[:i]) + list(mon[i + 1:])
-            if k > 1:
-                rest.append((a, k - 1))
-            rest.sort(key=lambda p: p[0].sort_key())
-            out = out + Expr({tuple(rest): c * k}) * da
-    return out
+    """Sum over monomials and their atoms (in atom order) of the monomial
+    with one power of the atom taken off, times the atom's derivative."""
+    out: dict = {}
+    get = out.get
+    diffs: dict[int, dict] = {}  # atom index -> terms of its derivative
+    seen = 0  # fields of the atoms in diffs
+    live = 0  # fields of the atoms with a nonzero derivative
+    for p, c in e._terms.items():
+        new = p & ~seen
+        if new:
+            for i in _fields(new):
+                diffs[i] = atom_diff(_ATOMS[i])._terms
+                seen |= _FIELD[i]
+                if diffs[i]:
+                    live |= _FIELD[i]
+        hit = p & live
+        if not hit:
+            continue
+        idx = _fields(hit)
+        if len(idx) > 1:
+            idx.sort(key=_KEYS.__getitem__)
+        for i in idx:
+            base = p - (1 << _SHIFT[i])
+            ck = c * _exponent(p, i)
+            for q, d in diffs[i].items():
+                r = base + q
+                s = get(r, 0) + ck * d
+                if s:
+                    out[r] = s
+                else:
+                    del out[r]
+    return Expr(_ints(_checked(out)))
 
 
 def _atom_total(a: Atom, v: Var) -> Expr:
@@ -539,6 +747,10 @@ def _atom_partial(a: Atom, wrt: Atom) -> Expr:
 def partial_derivative(e: Expr, wrt: Atom) -> Expr:
     """Partial derivative treating all other atoms as independent; opaque
     symbols depend on their declared arguments."""
+    i = _INDEX.get(wrt)
+    # no atom of e is wrt or may depend on it
+    if not reduce(or_, e._terms, 0) & (_COMPOUND | (_FIELD[i] if i is not None else 0)):
+        return ZERO
     return _leibniz(e, lambda a: _atom_partial(a, wrt))
 
 
@@ -547,13 +759,11 @@ def partial_derivative(e: Expr, wrt: Atom) -> Expr:
 
 
 def contains_atom(e: Expr, atom: Atom) -> bool:
-    for mon in e._terms:
-        for a, _ in mon:
-            if a == atom:
-                return True
-            if isinstance(a, FuncApp) and contains_atom(a.arg, atom):
-                return True
-    return False
+    present = reduce(or_, e._terms, 0)
+    i = _INDEX.get(atom)
+    if i is not None and present & _FIELD[i]:
+        return True
+    return any(contains_atom(_ATOMS[j].arg, atom) for j in _fields(present & _FUNC_MASK))
 
 
 class SubstitutionMap:
@@ -574,6 +784,10 @@ class SubstitutionMap:
         if isinstance(rules, Mapping):
             rules = rules.items()
         self.rules: dict[Atom, Expr] = {}
+        self._mask = 0  # fields of the left-hand atoms
+        # atom index -> replacement, filled on use; closing looks an atom
+        # up only once its own rule is closed, so entries stay valid
+        self._rhs: dict[int, Expr | None] = {}
         deps: dict[Atom, dict[Atom, None]] = {}
         for atom, rhs in rules:
             if isinstance(atom, Expr):
@@ -585,6 +799,7 @@ class SubstitutionMap:
             if atom in deps[atom]:
                 raise ValueError(f"rule for {atom.render()} maps to an expression containing it")
             self.rules[atom] = rhs
+            self._mask |= _FIELD[_intern(atom)]
 
         closed: dict[Atom, bool] = {}  # False while a rule's dependencies are being closed
 
@@ -612,30 +827,56 @@ class SubstitutionMap:
         """Rewrite every left-hand atom of ``e``, in one pass."""
         return self._apply_once(e)
 
+    def _replacement(self, i: int) -> Expr | None:
+        """What atom ``i`` becomes, or None when it stays."""
+        try:
+            return self._rhs[i]
+        except KeyError:
+            pass
+        a = _ATOMS[i]
+        rhs = self.rules.get(a)
+        if rhs is None and isinstance(a, FuncApp):
+            arg = self._apply_once(a.arg)
+            if arg != a.arg:
+                rhs = Expr.from_atom(FuncApp(a.fname, arg))
+        self._rhs[i] = rhs
+        return rhs
+
     def _apply_once(self, e: Expr) -> Expr:
-        out = ZERO
-        for mon, c in e._terms.items():
-            factor = Expr.from_rational(c)
-            for a, k in mon:
-                rhs = self.rules.get(a)
-                if rhs is None and isinstance(a, FuncApp):
-                    arg = self._apply_once(a.arg)
-                    if arg != a.arg:
-                        rhs = Expr.from_atom(FuncApp(a.fname, arg))
-                if rhs is None:
-                    factor = factor * Expr({((a, k),): Fraction(1)})
+        # each monomial becomes its kept atoms times the replaced atoms'
+        # powers, multiplied in atom order, and is added into one dict
+        out: dict = {}
+        get = out.get
+        mask = self._mask | _FUNC_MASK
+        for p, c in e._terms.items():
+            subs = [i for i in _fields(p & mask) if self._replacement(i) is not None]
+            if not subs:
+                s = get(p, 0) + c
+                if s:
+                    out[p] = s
                 else:
-                    factor = factor * rhs ** k
-            out = out + factor
-        return out
+                    del out[p]
+                continue
+            if len(subs) > 1:
+                subs.sort(key=_KEYS.__getitem__)
+            rest = p
+            for i in subs:
+                rest &= ~_FIELD[i]
+            prod = {rest: c}
+            for i in subs:
+                k = _exponent(p, i)
+                rhs = self._rhs[i]
+                prod = _mul_terms(prod, (rhs if k == 1 else rhs ** k)._terms)
+            _add_into(out, prod)
+        return Expr(_ints(out))
 
 
 def _nested_atoms(e: Expr) -> dict[Atom, None]:
     """Atoms of ``e`` in order of first occurrence, including those
     inside function arguments (the atoms :func:`contains_atom` sees)."""
     out: dict[Atom, None] = {}
-    for mon in e._terms:
-        for a, _ in mon:
+    for p in e._terms:
+        for a, _ in _monomial(p):
             out[a] = None
             if isinstance(a, FuncApp):
                 out.update(_nested_atoms(a.arg))
@@ -644,9 +885,11 @@ def _nested_atoms(e: Expr) -> dict[Atom, None]:
 
 def _single_atom(e: Expr) -> Atom:
     if len(e._terms) == 1:
-        (mon, c), = e._terms.items()
-        if c == 1 and len(mon) == 1 and mon[0][1] == 1:
-            return mon[0][0]
+        (p, c), = e._terms.items()
+        if c == 1 and p:
+            i = _field_at(p.bit_length() - 1)
+            if p == 1 << _SHIFT[i]:
+                return _ATOMS[i]
     raise ValueError(f"{e} is not a single atom")
 
 
@@ -671,16 +914,19 @@ def collect_coefficients(e: Expr, variables: Iterable) -> dict[Expr, Expr]:
     inside a function argument or an opaque-symbol signature.
     """
     vset = set()
+    vmask = 0
     for v in variables:
-        vset.add(_single_atom(v) if isinstance(v, Expr) else v)
-    out: dict[Expr, Expr] = {}
-    for mon, c in e._terms.items():
-        var_part = []
-        coeff_part = []
-        for a, k in mon:
-            if a in vset:
-                var_part.append((a, k))
-                continue
+        a = _single_atom(v) if isinstance(v, Expr) else v
+        vset.add(a)
+        i = _INDEX.get(a)
+        if i is not None:
+            vmask |= _FIELD[i]
+    groups: dict[int, dict] = {}  # variable part -> coefficient terms
+    checked = 0  # fields of the coefficient atoms found independent of vset
+    for p, c in e._terms.items():
+        rest = p & ~vmask
+        for i in sorted(_fields(rest & ~checked), key=_KEYS.__getitem__):
+            a = _ATOMS[i]
             if isinstance(a, FuncApp) and any(contains_atom(a.arg, v) for v in vset):
                 raise NonPolynomialError(
                     f"non-polynomial dependence on a collection variable inside {a.render()}"
@@ -689,11 +935,14 @@ def collect_coefficients(e: Expr, variables: Iterable) -> dict[Expr, Expr]:
                 raise NonPolynomialError(
                     f"{a.symbol.name} depends non-polynomially on a collection variable"
                 )
-            coeff_part.append((a, k))
-        key = Expr({tuple(var_part): Fraction(1)})
-        add = Expr({tuple(coeff_part): c})
-        out[key] = out.get(key, ZERO) + add
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            checked |= _FIELD[i]
+        group = groups.setdefault(p & vmask, {})
+        s = group.get(rest, 0) + c
+        if s:
+            group[rest] = s
+        else:
+            del group[rest]
+    return {Expr({vp: 1}): Expr(_ints(g)) for vp, g in groups.items() if g}
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +963,17 @@ def relabel_tiers(e: Expr, mapping: Mapping[int, int]) -> Expr:
                 return OpaqueDeriv(OpaqueSymbol(a.symbol.name, args), a.orders)
         return a
 
+    new_index: dict[int, int] = {}
     terms: dict = {}
-    for mon, c in e._terms.items():
-        new = tuple(sorted(((relabel_atom(a), k) for a, k in mon),
-                           key=lambda p: p[0].sort_key()))
-        terms[new] = terms.get(new, Fraction(0)) + c
+    for p, c in e._terms.items():
+        powers: dict[int, int] = {}
+        for i in _fields(p):
+            j = new_index.get(i)
+            if j is None:
+                j = new_index[i] = _intern(relabel_atom(_ATOMS[i]))
+            powers[j] = powers.get(j, 0) + _exponent(p, i)
+        q = _pack(powers)
+        terms[q] = terms.get(q, 0) + c
     return Expr._make(terms)
 
 
@@ -733,9 +988,11 @@ def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
             return _FUNC_EVAL[a.fname](eval_expr(a.arg, env))
         raise SymbolicError(f"no numeric value for atom {a.render()}")
 
+    if e._plan is None:
+        # (float coefficient, decoded monomial) per term, in term order
+        e._plan = tuple((float(c), _monomial(p)) for p, c in e._terms.items())
     total = 0.0
-    for mon, c in e._terms.items():
-        val = float(c)
+    for val, mon in e._plan:
         for a, k in mon:
             val *= atom_value(a) ** k
         total += val

@@ -254,6 +254,32 @@ class TestFailureModes:
             with pytest.raises(SolverBlowupError):
                 step(GridField(vals, 0.0), grid, bc)
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 5), (1, 0), (1, 15)])
+    def test_non_finite_initial_state_is_blowup(self, boundary, bad, where):
+        # u_1 sets the CFL substep count; a NaN there must not reach ceil()
+        grid = Grid1D(0.0, 1.0, 16, 1e-3, 0.01, boundary=boundary)
+        bc = moving_boundary(2) if boundary == "dirichlet" else None
+        vals = np.zeros((2, 16))
+        vals[where] = bad
+        with pytest.raises(SolverBlowupError):
+            solve_ivp(2, GridField(vals, 0.0), grid, bc=bc)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SolverBlowupError):
+                step(GridField(vals, 0.0), grid, bc)
+
+    def test_non_finite_initial_state_exits_3(self, monkeypatch, tmp_path):
+        from burgers_hierarchy import cli
+
+        monkeypatch.setattr(fdsolve, "field_from_exact",
+                            lambda sol, grid, t: GridField(np.full((1, grid.nx), np.nan), t))
+        path = tmp_path / "catalog.json"
+        path.write_text('[{"kind": "heat_polynomial", "degree": 1}]')
+        assert cli.main(["solve", "--m", "1", "--catalog", str(path), "--x-min", "1",
+                         "--x-max", "2", "--nx", "16", "--dt", "1e-3", "--t-end", "0.01",
+                         "--out-dir", str(tmp_path)]) == 3
+
     def test_cfl_substep_limit(self):
         grid = Grid1D(0.0, 1.0, 16, dt=10.0, t_end=10.0, boundary="periodic",
                       max_substeps=4)

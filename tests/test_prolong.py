@@ -2,13 +2,18 @@
 polynomials (checked term-by-term against longhand transcriptions of
 the expected cubics for one and two components), theorem verification, kappa constraints."""
 
+import collections
 from fractions import Fraction
 
 import pytest
 
+import burgers_hierarchy
+from burgers_hierarchy import cli, fdsolve, hierarchy, hopfcole, liealg, linalg, prolong, symcore
 from burgers_hierarchy.hierarchy import VectorField, build_delta, build_symmetry_field
+from burgers_hierarchy.hopfcole import heat_polynomial, solve_exact
 from burgers_hierarchy.liealg import generators
 from burgers_hierarchy.prolong import (
+    ManifoldRules,
     VerificationError,
     determining_polynomials,
     generic_ansatz,
@@ -36,6 +41,8 @@ from burgers_hierarchy.symcore import (
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
 UXX = jet(1, 1, nx=2)
+PACKAGE_MODULES = (burgers_hierarchy, symcore, hierarchy, prolong, liealg, linalg, hopfcole, fdsolve,
+                   cli)
 
 
 class TestProlongationFormulas:
@@ -356,3 +363,38 @@ class TestKappa:
         assert sum(coeffs) == 0
         coeffs2 = kappa_poly_coefficients(verify_kappa_constraint(2))
         assert sum(coeffs2) != 0
+
+
+class TestBenchmarkTracerNames:
+    """perfbench/tracing.py wraps these names by attribute, in their home
+    module and in every package module that imported them by name, so the
+    program must reach them through those attributes."""
+
+    FUNCTIONS = ("total_derivative", "partial_derivative", "collect_coefficients", "eval_expr")
+    METHODS = ((symcore.Expr, "__mul__"), (symcore.Expr, "__rmul__"),
+               (symcore.SubstitutionMap, "apply"), (symcore.SubstitutionMap, "__init__"),
+               (ManifoldRules, "apply"))
+
+    def test_names_are_called_through_their_attributes(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.FUNCTIONS:
+            fn = getattr(symcore, name)
+            wrapper = counting(fn, name)
+            for mod in PACKAGE_MODULES:
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, wrapper)
+        for cls, attr in self.METHODS:
+            monkeypatch.setattr(cls, attr, counting(getattr(cls, attr), f"{cls.__name__}.{attr}"))
+
+        verify_theorem(2)
+        assert 2 * U == U + U
+        solve_exact(1, [heat_polynomial(1)]).evaluate(0.5, 1.0)
+        expected = set(self.FUNCTIONS) | {f"{c.__name__}.{a}" for c, a in self.METHODS}
+        assert set(calls) == expected

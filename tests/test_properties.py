@@ -1,10 +1,14 @@
-"""Property tests for substitution and the Bareiss determinant.
+"""Property tests for the packed kernel, substitution and the Bareiss
+determinant.
 
-``SubstitutionMap`` closes its rules at construction and applies them in
-one pass; these tests compare that against the plain fixpoint of
-one-pass substitution with the raw rules, on random acyclic rule sets,
-and check that random cyclic sets are rejected.  The fraction-free
-determinant is compared against cofactor expansion.
+Products of packed monomials are compared against a product over decoded
+(atom, exponent) monomials, and the ring axioms, the commutation of D_t
+and D_x and the render/parse round trip are checked on random
+polynomials.  ``SubstitutionMap`` closes its rules at construction and
+applies them in one pass; these tests compare that against the plain
+fixpoint of one-pass substitution with the raw rules, on random acyclic
+rule sets, and check that random cyclic sets are rejected.  The
+fraction-free determinant is compared against cofactor expansion.
 """
 
 import pytest
@@ -13,10 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from burgers_hierarchy.linalg import bareiss_determinant
+from burgers_hierarchy.parser import parse_expr
 from burgers_hierarchy.symcore import (
     ONE,
     T,
+    T_ATOM,
     X,
+    X_ATOM,
     ZERO,
     Expr,
     FuncApp,
@@ -26,6 +33,7 @@ from burgers_hierarchy.symcore import (
     contains_atom,
     exp,
     rational,
+    total_derivative,
 )
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
@@ -45,6 +53,72 @@ def poly(draw, atoms, max_terms=3):
             term = term * exp(Expr.from_atom(draw(st.sampled_from(atoms))))
         out = out + term
     return out
+
+
+RING_ATOMS = [T_ATOM, X_ATOM] + ATOMS
+
+
+@st.composite
+def ring_elements(draw):
+    """Up to four terms over t, x and jet coordinates with exponents up to
+    three, some with an exp() factor of a small polynomial."""
+    return poly_with_powers(draw, depth=1)
+
+
+def poly_with_powers(draw, depth):
+    out = ZERO
+    for _ in range(draw(st.integers(0, 4))):
+        term = rational(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 4)))
+        for a in draw(st.lists(st.sampled_from(RING_ATOMS), max_size=3)):
+            term = term * Expr.from_atom(a) ** draw(st.integers(1, 3))
+        if depth and draw(st.integers(0, 3)) == 0:
+            term = term * exp(poly_with_powers(draw, depth - 1))
+        out = out + term
+    return out
+
+
+def tuple_product(a: Expr, b: Expr) -> dict:
+    """a*b over decoded (atom, exponent) monomials: the reference."""
+    out = {}
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            powers = dict(m1)
+            for atom, k in m2:
+                powers[atom] = powers.get(atom, 0) + k
+            mon = frozenset(powers.items())
+            out[mon] = out.get(mon, 0) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
+
+
+@PROPERTY
+@given(ring_elements(), ring_elements())
+def test_product_matches_tuple_reference(a, b):
+    assert {frozenset(mon): c for mon, c in (a * b).terms()} == tuple_product(a, b)
+
+
+@PROPERTY
+@given(ring_elements(), ring_elements(), ring_elements())
+def test_ring_axioms(a, b, c):
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a - a).is_zero() and (a * ZERO).is_zero()
+    assert a * ONE == a and a + ZERO == a
+
+
+@PROPERTY
+@given(ring_elements())
+def test_total_derivatives_commute(e):
+    assert total_derivative(total_derivative(e, "t"), "x") == \
+        total_derivative(total_derivative(e, "x"), "t")
+
+
+@PROPERTY
+@given(ring_elements())
+def test_render_parse_round_trip(e):
+    assert parse_expr(e.render()) == e
 
 
 @st.composite

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from burgers_hierarchy import cli, prolong
+from burgers_hierarchy.linalg import exact_divide, rational_nullvector
 from burgers_hierarchy.symcore import (
     Expr,
     JetCoord,
@@ -251,3 +253,39 @@ class TestTiersAndEval:
     def test_render_deterministic(self):
         e = (U + X) ** 2 - exp(T)
         assert str(e) == str((U + X) ** 2 - exp(T))
+
+
+class TestPackedKernel:
+    """Coefficients are ints when integral and Fractions otherwise; every
+    exponent stays inside its bit field of the packed monomial."""
+
+    def test_int_and_fraction_coefficients_agree(self):
+        for a, b in ((rational(4, 2) * U, 2 * U), (Fraction(6, 3) * U, U + U),
+                     (rational(1, 2) * U * 2, U), (U / Fraction(1, 2), 2 * U)):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert a.render() == b.render()
+        assert rational(4, 2) == 2 and rational(4, 2).as_rational() == Fraction(2)
+        assert all(type(c) is Fraction for _, c in (2 * U + rational(1, 3)).terms())
+
+    def test_integral_inputs_give_fractions(self):
+        assert exact_divide(3 * X * T, 2 * T) == rational(3, 2) * X
+        assert all(type(c) is Fraction for _, c in exact_divide(3 * X * T, 2 * T).terms())
+        ns = rational_nullvector([(3 * X)._terms, (2 * X)._terms])
+        assert ns == [Fraction(-2, 3), Fraction(1)]
+        assert all(type(c) is Fraction for c in ns)
+
+    def test_exponent_limits(self):
+        assert (U ** 127).term_count() == 1
+        assert partial_derivative(U ** 127, JetCoord(1, 1)) == 127 * U ** 126
+        assert total_derivative(T ** 1000 * X ** 70000, "x") == 70000 * T ** 1000 * X ** 69999
+        for build in (lambda: U ** 128, lambda: U ** 100 * U ** 28,
+                      lambda: exp(X) ** 64 * exp(X) ** 64,
+                      lambda: relabel_tiers(jet(1, 1) ** 100 * jet(2, 1) ** 100, {2: 1})):
+            with pytest.raises(OverflowError, match="exceeds 127"):
+                build()
+
+    def test_overflow_is_exit_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(prolong, "verify_theorem", lambda m: U ** 200)
+        assert cli.main(["verify", "theorem", "--m", "1", "--out-dir", str(tmp_path)]) == 3
+        assert "u[1,1]" in capsys.readouterr().err
