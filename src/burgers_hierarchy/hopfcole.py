@@ -25,7 +25,7 @@ from fractions import Fraction
 import random
 from typing import Callable, Iterable, Sequence
 
-from .linalg import bareiss_determinant, cramer_solve, rational_nullvector
+from .linalg import cramer_solve, rational_nullvector
 from .symcore import (
     Atom,
     Expr,
@@ -345,15 +345,15 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
     :class:`SingularSystemError` (with a rational dependency witness when
     one exists) if the determinant vanishes identically."""
     matrix, rhs = hopfcole_matrix(m, vs)
-    det = bareiss_determinant(matrix)
-    if det.is_zero():
-        witness = rational_nullvector([v.expr._terms for v in vs])
+    try:
+        det, unknown_nums = cramer_solve(matrix, rhs)
+    except ZeroDivisionError:
+        witness = rational_nullvector([v.expr for v in vs])
         msg = "the heat data produce an identically singular system"
         if witness is not None:
             combo = " + ".join(f"({c})*v{i + 1}" for i, c in enumerate(witness) if c != 0)
             msg += f"; dependency witness: {combo} = 0"
-        raise SingularSystemError(msg, witness)
-    _, unknown_nums = cramer_solve(matrix, rhs, det)
+        raise SingularSystemError(msg, witness) from None
     # unknown order is (u_m, ..., u_1): reverse into component order
     numerators = list(reversed(unknown_nums))
     rules: dict = {}

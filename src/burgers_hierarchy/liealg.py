@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .hierarchy import VectorField, tier_of
 from .linalg import rref
-from .symcore import Expr, ONE, T, X, ZERO, jet, rational
+from .symcore import Expr, ONE, T, X, ZERO, coefficient_rows, jet, rational
 
 
 class NonClosureError(Exception):
@@ -94,9 +94,7 @@ def _expand_in_basis(target: VectorField, basis: list[VectorField]) -> list[Frac
     for ci in range(len(_field_components(target))):
         comps = [_field_components(f)[ci] for f in basis]
         comps.append(_field_components(target)[ci])
-        monomials = dict.fromkeys(mono for c in comps for mono in c._terms)
-        for mono in monomials:
-            rows.append([Fraction(c._terms.get(mono, 0)) for c in comps])
+        rows.extend(coefficient_rows(comps))
 
     # exact elimination on the (overdetermined) system; rows past the
     # rank are zero on the basis side and must have zero rhs

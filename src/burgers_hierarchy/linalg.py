@@ -2,50 +2,15 @@
 
 Fraction-free (Bareiss) elimination keeps every intermediate entry a
 polynomial; the one division it performs per step is exact by
-construction and is carried out by multivariate long division under a
-graded lexicographic term order.
+construction and is carried out by the kernel's multivariate long
+division (:func:`symcore.exact_divide`, re-exported here).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcore import ONE, ZERO, Expr, _divide_monomial, _grlex_key, _mul_terms
-
-
-class InexactDivisionError(ArithmeticError):
-    pass
-
-
-def exact_divide(p: Expr, d: Expr) -> Expr:
-    """Return q with p == q*d, raising if no polynomial quotient exists."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if d.is_rational():
-        return p / d.as_rational()
-    if p.is_zero():
-        return ZERO
-
-    key = _grlex_key(p, d)
-    d_lead = max(d._terms, key=key)
-    d_lc = d._terms[d_lead]
-
-    quotient: dict = {}
-    rem = dict(p._terms)
-    while rem:
-        p_lead = max(rem, key=key)
-        q_mon = _divide_monomial(p_lead, d_lead)
-        if q_mon is None:
-            raise InexactDivisionError("leading term not divisible")
-        q_coeff = Fraction(rem[p_lead], d_lc)
-        quotient[q_mon] = quotient.get(q_mon, 0) + q_coeff
-        for mon, c in _mul_terms({q_mon: q_coeff}, d._terms).items():
-            s = rem.get(mon, 0) - c
-            if s:
-                rem[mon] = s
-            else:
-                del rem[mon]
-    return Expr._make(quotient)
+from .symcore import ONE, ZERO, Expr, InexactDivisionError, coefficient_rows, exact_divide
 
 
 def bareiss_determinant(matrix: list[list[Expr]]) -> Expr:
@@ -72,13 +37,11 @@ def bareiss_determinant(matrix: list[list[Expr]]) -> Expr:
     return det if sign == 1 else -det
 
 
-def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr],
-                 det: Expr | None = None) -> tuple[Expr, list[Expr]]:
+def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr]) -> tuple[Expr, list[Expr]]:
     """Solve matrix * w = rhs exactly: returns (det, numerators) with
-    w_j = numerators[j] / det.  det, the determinant of ``matrix`` (computed
-    when not given), must not be identically zero."""
-    if det is None:
-        det = bareiss_determinant(matrix)
+    w_j = numerators[j] / det.  Raises ZeroDivisionError, before any
+    numerator is built, when det is identically zero."""
+    det = bareiss_determinant(matrix)
     if det.is_zero():
         raise ZeroDivisionError("matrix is singular over the expression ring")
     numerators = []
@@ -115,16 +78,11 @@ def rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], 
     return aug, pivots
 
 
-def rational_nullvector(vectors: list[dict]) -> list[Fraction] | None:
-    """A nonzero rational combination summing to zero, if one exists.
-
-    ``vectors`` are sparse monomial->coefficient mappings (Expr term
-    dicts); the combination is made of Fractions.
-    """
+def rational_nullvector(vectors: list[Expr]) -> list[Fraction] | None:
+    """A nonzero rational combination of ``vectors`` summing to zero, if
+    one exists; the combination is made of Fractions."""
     n = len(vectors)
-    monomials = dict.fromkeys(m for v in vectors for m in v)
-    rows = [[Fraction(v.get(mon, 0)) for v in vectors] for mon in monomials]
-    aug, pivots = rref(rows, n)
+    aug, pivots = rref(coefficient_rows(vectors), n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None

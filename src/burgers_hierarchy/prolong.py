@@ -30,10 +30,10 @@ from .symcore import (
     T_ATOM,
     X_ATOM,
     ZERO,
-    _field,
     collect_coefficients,
     jet,
     partial_derivative,
+    powers_of,
     total_derivative,
 )
 
@@ -332,27 +332,14 @@ def kappa_symbol() -> OpaqueSymbol:
     return OpaqueSymbol("kappa", ())
 
 
-def _kappa_poly_parts(e: Expr, kappa: OpaqueDeriv) -> dict[Expr, Expr]:
-    """Split e into {non-kappa monomial -> polynomial in kappa}."""
-    _, field = _field(kappa)
-    parts: dict[int, dict] = {}
-    for mono, coeff in e._terms.items():
-        parts.setdefault(mono & ~field, {})[mono & field] = coeff
-    return {Expr({rest: 1}): Expr(kterms) for rest, kterms in parts.items()}
-
-
 def kappa_poly_coefficients(e: Expr) -> list[Fraction]:
     """Coefficients [c0, c1, ...] of a polynomial in the kappa symbol."""
-    shift, field = _field(OpaqueDeriv(kappa_symbol(), ()))
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in e._terms.items():
-        if mono & ~field:
-            raise ExtractionError(f"not a pure kappa polynomial: {e}")
-        coeffs[mono >> shift] = Fraction(c)
-    if not coeffs:
+    parts = powers_of(e, OpaqueDeriv(kappa_symbol(), ()))
+    if not all(c.is_rational() for c in parts.values()):
+        raise ExtractionError(f"not a pure kappa polynomial: {e}")
+    if not parts:
         return [Fraction(0)]
-    deg = max(coeffs)
-    return [coeffs.get(i, Fraction(0)) for i in range(deg + 1)]
+    return [parts.get(i, ZERO).as_rational() for i in range(max(parts) + 1)]
 
 
 def poly_rem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -468,7 +455,9 @@ def _kappa_obstructions_multi(m: int) -> list[list[Fraction]]:
                 lo, hi = min(b, d), max(b, d)
                 diff = partial_derivative(val_bc, u_atoms[d - 1]) - \
                     partial_derivative(table[(lo, hi)], u_atoms[c - 1])
-                for part in _kappa_poly_parts(diff, kappa_atom).values():
+                # one polynomial in kappa per monomial in the other atoms
+                others = diff.atoms() - {kappa_atom}
+                for part in collect_coefficients(diff, others).values():
                     coeffs = kappa_poly_coefficients(part)
                     if any(coeffs):
                         obstructions.append(coeffs)
@@ -519,6 +508,8 @@ def _integrate_poly(e: Expr, atom: JetCoord) -> Expr:
     for a in e.atoms():
         if isinstance(a, OpaqueDeriv) and atom in a.symbol.args:
             raise NonPolynomialError(f"cannot integrate {a.render()} in {atom.render()}")
-    shift, field = _field(atom)
-    return Expr._make({mono + (1 << shift): Fraction(c, ((mono & field) >> shift) + 1)
-                       for mono, c in e._terms.items()})
+    u = Expr.from_atom(atom)
+    out = ZERO
+    for k, c in powers_of(e, atom).items():
+        out = out + c * u ** (k + 1) / (k + 1)
+    return out

@@ -23,7 +23,9 @@ wrapping into the neighbouring field.  A term dict keeps insertion
 order, and :func:`eval_expr` sums in that order; every operation adds
 terms in a fixed order (within a monomial, atoms by ``sort_key``), so
 float evaluation does not depend on the order in which atoms were
-interned.
+interned.  No other module reads the packed format: they go through
+:func:`collect_coefficients`, :func:`powers_of`,
+:func:`coefficient_rows` and :func:`exact_divide`.
 
 All arithmetic is exact and floats are rejected.  A coefficient is
 stored as an ``int`` when it is integral and as a ``fractions.Fraction``
@@ -46,7 +48,7 @@ from functools import reduce
 import math
 from operator import or_
 import threading
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 class SymbolicError(Exception):
@@ -60,6 +62,10 @@ class NonPolynomialError(SymbolicError):
 class SubstitutionCycleError(SymbolicError):
     """Substitution rules depend on each other in a cycle; raised when the
     rules are closed at construction."""
+
+
+class InexactDivisionError(ArithmeticError):
+    """A polynomial has no polynomial quotient by another."""
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +299,6 @@ def _monomial(p: int) -> Monomial:
     return tuple((_ATOMS[i], _exponent(p, i)) for i in idx)
 
 
-def _field(a: Atom) -> tuple[int, int]:
-    """(lowest bit, mask) of the field of atom ``a``."""
-    i = _intern(a)
-    return _SHIFT[i], _FIELD[i]
-
-
 def _overflow(i: int) -> OverflowError:
     width = _WIDE if i < 2 else _NARROW
     return OverflowError(f"exponent of {_ATOMS[i].render()} exceeds {(1 << (width - 1)) - 1}, "
@@ -324,29 +324,15 @@ def _pack(powers: Mapping[int, int]) -> int:
     return p
 
 
-def _divide_monomial(p: int, d: int) -> int | None:
-    """p / d as a packed monomial, or None when d does not divide p.  A
-    field of p below d's borrows from the next field and so sets its own
-    guard bit."""
-    q = p - d
-    if q < 0 or q & _GUARD:
-        return None
-    return q
-
-
 def _grlex_key(*exprs: "Expr") -> Callable[[int], tuple]:
     """Sort key of packed monomials over the atoms of ``exprs``: total
     degree, then the exponents lexicographically, atoms in sort_key order."""
     idx = _fields(reduce(or_, (reduce(or_, e._terms, 0) for e in exprs), 0))
     idx.sort(key=_KEYS.__getitem__)
-    cache: dict[int, tuple] = {}
 
     def key(p: int) -> tuple:
-        k = cache.get(p)
-        if k is None:
-            v = tuple(_exponent(p, i) for i in idx)
-            k = cache[p] = (sum(v), v)
-        return k
+        v = tuple(_exponent(p, i) for i in idx)
+        return (sum(v), v)
 
     return key
 
@@ -385,23 +371,21 @@ def _ints(terms: dict) -> dict:
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term dicts.  Terms appear in the order of the double
     loop over ``a`` then ``b``; a term that cancels is dropped at once."""
-    if len(b) == 1:
-        (q, d), = b.items()
-        out = {p + q: c * d for p, c in a.items()}
-    elif len(a) == 1:
-        (q, d), = a.items()
-        out = {q + p: d * c for p, c in b.items()}
-    else:
-        out = {}
-        get = out.get
-        for p1, c1 in a.items():
-            for p2, c2 in b.items():
-                p = p1 + p2
-                s = get(p, 0) + c1 * c2
-                if s:
-                    out[p] = s
-                else:
-                    del out[p]
+    out = {}
+    get = out.get
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            p = p1 + p2
+            s = get(p)
+            if s is None:
+                # stored as is: adding it to 0 would cost a Fraction operation
+                out[p] = c1 * c2
+                continue
+            s += c1 * c2
+            if s:
+                out[p] = s
+            else:
+                del out[p]
     return _ints(_checked(out))
 
 
@@ -785,9 +769,6 @@ class SubstitutionMap:
             rules = rules.items()
         self.rules: dict[Atom, Expr] = {}
         self._mask = 0  # fields of the left-hand atoms
-        # atom index -> replacement, filled on use; closing looks an atom
-        # up only once its own rule is closed, so entries stay valid
-        self._rhs: dict[int, Expr | None] = {}
         deps: dict[Atom, dict[Atom, None]] = {}
         for atom, rhs in rules:
             if isinstance(atom, Expr):
@@ -829,17 +810,12 @@ class SubstitutionMap:
 
     def _replacement(self, i: int) -> Expr | None:
         """What atom ``i`` becomes, or None when it stays."""
-        try:
-            return self._rhs[i]
-        except KeyError:
-            pass
         a = _ATOMS[i]
         rhs = self.rules.get(a)
         if rhs is None and isinstance(a, FuncApp):
             arg = self._apply_once(a.arg)
             if arg != a.arg:
                 rhs = Expr.from_atom(FuncApp(a.fname, arg))
-        self._rhs[i] = rhs
         return rhs
 
     def _apply_once(self, e: Expr) -> Expr:
@@ -849,7 +825,7 @@ class SubstitutionMap:
         get = out.get
         mask = self._mask | _FUNC_MASK
         for p, c in e._terms.items():
-            subs = [i for i in _fields(p & mask) if self._replacement(i) is not None]
+            subs = [(i, rhs) for i in _fields(p & mask) if (rhs := self._replacement(i)) is not None]
             if not subs:
                 s = get(p, 0) + c
                 if s:
@@ -858,14 +834,13 @@ class SubstitutionMap:
                     del out[p]
                 continue
             if len(subs) > 1:
-                subs.sort(key=_KEYS.__getitem__)
+                subs.sort(key=lambda sub: _KEYS[sub[0]])
             rest = p
-            for i in subs:
+            for i, _ in subs:
                 rest &= ~_FIELD[i]
             prod = {rest: c}
-            for i in subs:
+            for i, rhs in subs:
                 k = _exponent(p, i)
-                rhs = self._rhs[i]
                 prod = _mul_terms(prod, (rhs if k == 1 else rhs ** k)._terms)
             _add_into(out, prod)
         return Expr(_ints(out))
@@ -943,6 +918,64 @@ def collect_coefficients(e: Expr, variables: Iterable) -> dict[Expr, Expr]:
         else:
             del group[rest]
     return {Expr({vp: 1}): Expr(_ints(g)) for vp, g in groups.items() if g}
+
+
+def powers_of(e: Expr, atom: Atom) -> dict[int, Expr]:
+    """Split ``e`` by powers of ``atom``: {k -> coefficient of atom**k},
+    each coefficient free of ``atom`` at the top level."""
+    i = _intern(atom)
+    shift, field = _SHIFT[i], _FIELD[i]
+    parts: dict[int, dict] = {}
+    for p, c in e._terms.items():
+        parts.setdefault((p & field) >> shift, {})[p & ~field] = c
+    return {k: Expr(terms) for k, terms in parts.items()}
+
+
+def coefficient_rows(exprs: Sequence[Expr]) -> list[list[Fraction]]:
+    """The coefficients of ``exprs`` as a matrix: one row per monomial
+    occurring in any of them (in order of first occurrence), one column
+    per expression."""
+    monomials = dict.fromkeys(p for e in exprs for p in e._terms)
+    return [[Fraction(e._terms.get(p, 0)) for e in exprs] for p in monomials]
+
+
+# ---------------------------------------------------------------------------
+# exact division
+
+
+def exact_divide(p: Expr, d: Expr) -> Expr:
+    """Return q with p == q*d, raising :class:`InexactDivisionError` if no
+    polynomial quotient exists.  Multivariate long division under the
+    graded lexicographic order on the atoms of p and d."""
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if d.is_rational():
+        return p / d.as_rational()
+    if p.is_zero():
+        return ZERO
+
+    key = _grlex_key(p, d)
+    d_lead = max(d._terms, key=key)
+    d_lc = d._terms[d_lead]
+
+    quotient: dict = {}
+    rem = dict(p._terms)
+    while rem:
+        p_lead = max(rem, key=key)
+        # a field of p_lead below d_lead's borrows from the next field and
+        # so sets its own guard bit
+        q_mon = p_lead - d_lead
+        if q_mon < 0 or q_mon & _GUARD:
+            raise InexactDivisionError("leading term not divisible")
+        q_coeff = Fraction(rem[p_lead], d_lc)
+        quotient[q_mon] = quotient.get(q_mon, 0) + q_coeff
+        for mon, c in _mul_terms({q_mon: q_coeff}, d._terms).items():
+            s = rem.get(mon, 0) - c
+            if s:
+                rem[mon] = s
+            else:
+                del rem[mon]
+    return Expr._make(quotient)
 
 
 # ---------------------------------------------------------------------------

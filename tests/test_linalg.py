@@ -109,13 +109,13 @@ class TestCramer:
 class TestNullvector:
     def test_dependent(self):
         v1, v2, v3 = X, 2 * X, T
-        ns = rational_nullvector([v._terms for v in (v1, v2, v3)])
+        ns = rational_nullvector([v1, v2, v3])
         assert ns is not None
         combo = ns[0] * v1 + ns[1] * v2 + ns[2] * v3
         assert combo.is_zero()
 
     def test_independent(self):
-        assert rational_nullvector([v._terms for v in (X, T, ONE)]) is None
+        assert rational_nullvector([X, T, ONE]) is None
 
 
 class TestRref:
