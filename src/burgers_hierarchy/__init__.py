@@ -7,82 +7,35 @@ data via the matrix linearization, and cross-validates those solutions
 against a finite-difference solver.
 """
 
-from .symcore import (
-    Expr,
-    JetCoord,
-    NonPolynomialError,
-    OpaqueSymbol,
-    SubstitutionMap,
-    SubstitutionCycleError,
-    collect_coefficients,
-    eval_expr,
-    jet,
-    partial_derivative,
-    rational,
-    relabel_tiers,
-    substitute,
-    total_derivative,
-)
-from .parser import ParseError, UnknownSymbolError, parse_expr
+# The package root exports what the demos and the README's library
+# examples import from it; everything else is imported from its module.
+from .parser import parse_expr
 from .hierarchy import (
-    PdeSystem,
-    VectorField,
     build_companion,
     build_delta,
     build_symmetry_field,
     companion_row_permutation,
     matrix_burgers_residual,
-    tier_of,
 )
-from .prolong import (
-    ProlongedField,
-    TheoremReport,
-    VerificationError,
-    determining_polynomials,
-    generic_ansatz,
-    manifold_rules,
-    prolong2,
-    prolong2_direct,
-    verify_classical,
-    verify_kappa_constraint,
-    verify_theorem,
-)
-from .liealg import (
-    NonClosureError,
-    StructureConstants,
-    commutator,
-    generators,
-    isomorphism_check,
-    structure_constants,
-)
+from .prolong import verify_kappa_constraint, verify_theorem
+from .liealg import generators, isomorphism_check, structure_constants
 from .hopfcole import (
-    CertifyReport,
-    ExactSolution,
     HeatSolution,
-    SingularSystemError,
-    catalog_from_json,
     certify,
     heat_constant,
     heat_exponential,
     heat_gaussian,
     heat_polynomial,
     heat_sum,
-    heat_trig,
-    hopfcole_matrix,
     solve_exact,
 )
 from .fdsolve import (
-    CFLError,
-    ConvergenceReport,
     Grid1D,
-    GridField,
-    SolverBlowupError,
     convergence_study,
     error_norms,
     field_from_exact,
     make_boundary,
     solve_ivp,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import cramer_solve, rational_nullvector
 from .symcore import (
@@ -234,26 +234,12 @@ def hopfcole_matrix(m: int, vs: Sequence[HeatSolution]) -> tuple[list[list[Expr]
     return rows, rhs
 
 
-class RationalExpr:
+class RationalExpr(NamedTuple):
     """num/den over the polynomial kernel, kept as a pair: no gcd
     cancellation and no arithmetic."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def eval(self, env) -> float:
-        return eval_expr(self.num, env) / eval_expr(self.den, env)
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"
+    num: Expr
+    den: Expr
 
 
 @dataclass
@@ -281,7 +267,7 @@ class ExactSolution:
         d = eval_expr(self.det, env)
         return [eval_expr(n, env) / d for n in self.numerators]
 
-    def guard_ok(self, t: float, x: float, rel_tol: float = SINGULARITY_REL_TOL) -> bool:
+    def guard_ok(self, t: float, x: float) -> bool:
         """Reject points too close to the determinant's zero set,
         measured against the product of matrix row norms."""
         env = self._env(t, x)
@@ -289,7 +275,7 @@ class ExactSolution:
         for row in self.matrix:
             norm = sum(eval_expr(e, env) ** 2 for e in row) ** 0.5
             scale *= norm
-        return abs(eval_expr(self.det, env)) >= rel_tol * scale
+        return abs(eval_expr(self.det, env)) >= SINGULARITY_REL_TOL * scale
 
     def residuals(self) -> list[RationalExpr]:
         """Residual r_a = u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x of each
@@ -326,7 +312,7 @@ class ExactSolution:
 
     def residual_values(self, t: float, x: float) -> list[float]:
         env = self._env(t, x)
-        return [r.eval(env) for r in self.residuals()]
+        return [eval_expr(r.num, env) / eval_expr(r.den, env) for r in self.residuals()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -426,7 +412,6 @@ def sample_points(
 
 def certify(
     sol: ExactSolution,
-    samples: Sequence[tuple[float, float]] | None = None,
     tol: float = DEFAULT_CERT_TOL,
     n_points: int = 100,
     box: tuple[float, float, float, float] = (0.1, 1.0, -3.0, 3.0),
@@ -442,7 +427,7 @@ def certify(
       residuals below ``tol`` at points away from determinant zeros,
       mode "numeric".
     """
-    nonzero = [(a, r) for a, r in enumerate(sol.residuals(), start=1) if not r.is_zero()]
+    nonzero = [(a, r) for a, r in enumerate(sol.residuals(), start=1) if not r.num.is_zero()]
     if not nonzero:
         return CertifyReport(sol.m, "symbolic", 0, 0.0, 0.0, None, True)
     for a, r in nonzero:
@@ -451,8 +436,7 @@ def certify(
                 f"equation {a}: the residual is a nonzero polynomial in t, x"
             )
 
-    if samples is None:
-        samples = sample_points(sol, n_points, box, seed)
+    samples = sample_points(sol, n_points, box, seed)
     worst = 0.0
     where = None
     for (t, x) in samples:

@@ -1,17 +1,19 @@
 """Classical point symmetries of the coupled systems.
 
 Every member of the family admits five generators -- time and space
-translation, scaling, a Galilean boost, and a projective transformation.
-The closed forms differ per m but all five-dimensional algebras close
-with the same rational structure constants, which is how the cross-m
-isomorphism is checked here: entrywise equality of the tables in the
-given bases (stronger than, and implying, abstract isomorphism).
+translation, scaling, a Galilean boost, and a projective transformation
+-- given by one closed form in m.  All the five-dimensional algebras
+close with the same rational structure constants, kept as a sparse map
+from each bracket [Xi_i, Xi_j], i < j, to its nonzero coefficients.  The
+cross-m isomorphism is checked as equality of these maps in the given
+bases (stronger than, and implying, abstract isomorphism).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .hierarchy import VectorField, tier_of
 from .linalg import rref
@@ -23,7 +25,7 @@ class NonClosureError(Exception):
 
 
 def generators(m: int) -> list[VectorField]:
-    """The five generators in their three closed forms (m = 1, m = 2, m >= 3)."""
+    """The five generators in their closed form for m components."""
     if m < 1:
         raise ValueError("m must be positive")
     k = tier_of(m)
@@ -32,40 +34,22 @@ def generators(m: int) -> list[VectorField]:
         return jet(k, a)
 
     zeros = (ZERO,) * m
-
     xi1 = VectorField(m, k, ONE, ZERO, zeros, name="Xi1")
     xi2 = VectorField(m, k, ZERO, ONE, zeros, name="Xi2")
-
-    if m == 1:
-        xi3 = VectorField(m, k, 2 * T, X, (-u(1),), name="Xi3")
-        xi4 = VectorField(m, k, ZERO, T, (ONE,), name="Xi4")
-        xi5 = VectorField(m, k, T ** 2, T * X, (X - T * u(1),), name="Xi5")
-    elif m == 2:
-        xi3 = VectorField(m, k, 2 * T, X, (-u(1), -2 * u(2)), name="Xi3")
-        xi4 = VectorField(m, k, ZERO, T, (rational(2), -u(1)), name="Xi4")
-        xi5 = VectorField(
-            m, k, T ** 2, T * X,
-            (2 * X - T * u(1), -(X * u(1) + 2 * T * u(2) + 2)),
-            name="Xi5",
-        )
-    else:
-        xi3 = VectorField(
-            m, k, 2 * T, X,
-            tuple(-rational(a) * u(a) for a in range(1, m + 1)),
-            name="Xi3",
-        )
-        etas4 = [Expr.from_rational(m)]
-        etas4 += [rational(a - m - 1) * u(a - 1) for a in range(2, m + 1)]
-        xi4 = VectorField(m, k, ZERO, T, tuple(etas4), name="Xi4")
-        etas5 = [rational(m) * X - T * u(1)]
+    etas3 = tuple(-rational(a) * u(a) for a in range(1, m + 1))
+    xi3 = VectorField(m, k, 2 * T, X, etas3, name="Xi3")
+    etas4 = [Expr.from_rational(m)]
+    etas4 += [rational(a - m - 1) * u(a - 1) for a in range(2, m + 1)]
+    xi4 = VectorField(m, k, ZERO, T, tuple(etas4), name="Xi4")
+    etas5 = [rational(m) * X - T * u(1)]
+    if m > 1:
         etas5.append(-(rational(m - 1) * (X * u(1) + m) + 2 * T * u(2)))
-        for a in range(3, m + 1):
-            etas5.append(
-                -(rational(a) * T * u(a)
-                  + rational(m - a + 1) * (X * u(a - 1) - rational(m - a + 2) * u(a - 2)))
-            )
-        xi5 = VectorField(m, k, T ** 2, T * X, tuple(etas5), name="Xi5")
-
+    for a in range(3, m + 1):
+        etas5.append(
+            -(rational(a) * T * u(a)
+              + rational(m - a + 1) * (X * u(a - 1) - rational(m - a + 2) * u(a - 2)))
+        )
+    xi5 = VectorField(m, k, T ** 2, T * X, tuple(etas5), name="Xi5")
     return [xi1, xi2, xi3, xi4, xi5]
 
 
@@ -83,72 +67,67 @@ def commutator(a: VectorField, b: VectorField) -> VectorField:
     )
 
 
-def _field_components(f: VectorField) -> list[Expr]:
-    return [f.tau, f.xi, *f.etas]
-
-
-def _expand_in_basis(target: VectorField, basis: list[VectorField]) -> list[Fraction]:
-    """Exact rational coordinates of target in the basis, or raise."""
-    rows: list[list[Fraction]] = []  # basis coefficients, then target's
+def _expand_in_basis(targets: list[VectorField],
+                     basis: list[VectorField]) -> list[list[Fraction]]:
+    """Exact rational coordinates of each target in the basis, from one
+    elimination with one right-hand column per target, or raise."""
     n = len(basis)
-    for ci in range(len(_field_components(target))):
-        comps = [_field_components(f)[ci] for f in basis]
-        comps.append(_field_components(target)[ci])
+    rows: list[list[Fraction]] = []  # basis coefficients, then the targets'
+    for comps in zip(*((f.tau, f.xi, *f.etas) for f in [*basis, *targets])):
         rows.extend(coefficient_rows(comps))
 
     # exact elimination on the (overdetermined) system; rows past the
-    # rank are zero on the basis side and must have zero rhs
+    # rank are zero on the basis side and must be zero in every target
     aug, pivots = rref(rows, n)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
-        raise NonClosureError(
-            f"{target.name} does not lie in the span of the generators"
-        )
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][n]
-    return sol
+    for col, target in enumerate(targets, start=n):
+        if any(row[col] != 0 for row in aug[len(pivots):]):
+            raise NonClosureError(
+                f"{target.name} does not lie in the span of the generators"
+            )
+    reduced = dict(zip(pivots, aug))  # pivot column -> its row
+    return [[reduced[c][col] if c in reduced else Fraction(0) for c in range(n)]
+            for col in range(n, n + len(targets))]
 
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """c[i][j][k] with [Xi_i, Xi_j] = sum_k c_ij^k Xi_k (0-based storage)."""
+    """[Xi_i, Xi_j] = sum_k c_ij^k Xi_k over n generators (1-based),
+    stored as brackets[(i, j)] = {k: c_ij^k} for i < j and nonzero c_ij^k
+    only; antisymmetry holds by construction."""
 
     m: int
-    c: tuple
+    n: int
+    brackets: dict
+
+    def _bracket(self, i: int, j: int) -> dict:
+        """{k: c_ij^k} for any i, j: [Xi_j, Xi_i] = -[Xi_i, Xi_j]."""
+        if i > j:
+            return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        return self.brackets.get((i, j), {})
 
     def entry(self, i: int, j: int, k: int) -> Fraction:
-        """1-based accessor."""
-        return self.c[i - 1][j - 1][k - 1]
-
-    def antisymmetry_holds(self) -> bool:
-        n = len(self.c)
-        return all(
-            self.c[i][j][k] == -self.c[j][i][k]
-            for i in range(n) for j in range(n) for k in range(n)
-        )
+        return self._bracket(i, j).get(k, Fraction(0))
 
     def jacobi_residual(self) -> Fraction:
-        """Sum of absolute Jacobi defects; zero for a genuine bracket."""
-        n = len(self.c)
+        """Sum of absolute Jacobi defects over i < j < k; zero for a
+        genuine bracket (triples with a repeated index vanish by
+        antisymmetry)."""
         total = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for s in range(n):
-                        acc = Fraction(0)
-                        for l in range(n):
-                            acc += self.c[i][j][l] * self.c[l][k][s]
-                            acc += self.c[j][k][l] * self.c[l][i][s]
-                            acc += self.c[k][i][l] * self.c[l][j][s]
-                        total += abs(acc)
+        for i, j, k in combinations(range(1, self.n + 1), 3):
+            defect: dict[int, Fraction] = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, c_ab in self._bracket(a, b).items():
+                    for s, c_lc in self._bracket(l, c).items():
+                        defect[s] = defect.get(s, 0) + c_ab * c_lc
+            total += sum(abs(v) for v in defect.values())
         return total
 
     def table_text(self) -> str:
-        """5x5 commutator table with entries as basis combinations."""
-        n = len(self.c)
-        cells = [[_combo_str(self.c[i][j]) for j in range(n)] for i in range(n)]
-        width = max(max(len(s) for s in row) for row in cells)
-        width = max(width, 8)
+        """nxn commutator table with entries as basis combinations."""
+        n = self.n
+        cells = [[_combo_str(self._bracket(i, j)) for j in range(1, n + 1)]
+                 for i in range(1, n + 1)]
+        width = max(8, *(len(s) for row in cells for s in row))
         header = " " * 10 + "".join(f"{'Xi' + str(j + 1):>{width + 2}}" for j in range(n))
         lines = [header]
         for i in range(n):
@@ -159,30 +138,25 @@ class StructureConstants:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        """Both orders [i,j] and [j,i] of every nonzero bracket."""
         out = {}
-        n = len(self.c)
-        for i in range(n):
-            for j in range(n):
-                combo = {
-                    str(k + 1): str(self.c[i][j][k])
-                    for k in range(n) if self.c[i][j][k] != 0
-                }
+        for i in range(1, self.n + 1):
+            for j in range(1, self.n + 1):
+                combo = self._bracket(i, j)
                 if combo:
-                    out[f"[{i + 1},{j + 1}]"] = combo
+                    out[f"[{i},{j}]"] = {str(k): str(c) for k, c in sorted(combo.items())}
         return {"m": self.m, "brackets": out}
 
 
-def _combo_str(coeffs) -> str:
+def _combo_str(combo: dict) -> str:
     parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
+    for k, c in sorted(combo.items()):
         if c == 1:
-            parts.append(f"Xi{k + 1}")
+            parts.append(f"Xi{k}")
         elif c == -1:
-            parts.append(f"-Xi{k + 1}")
+            parts.append(f"-Xi{k}")
         else:
-            parts.append(f"{c}*Xi{k + 1}")
+            parts.append(f"{c}*Xi{k}")
     return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
@@ -190,16 +164,16 @@ def structure_constants(m: int) -> StructureConstants:
     """Expand every bracket of the generators in their own basis;
     raises :class:`NonClosureError` if a bracket escapes."""
     basis = generators(m)
-    n = len(basis)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sol = _expand_in_basis(commutator(basis[i], basis[j]), basis)
-            for k in range(n):
-                c[i][j][k] = sol[k]
-                c[j][i][k] = -sol[k]
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in c)
-    return StructureConstants(m, frozen)
+    pairs = list(combinations(range(1, len(basis) + 1), 2))
+    coords = _expand_in_basis(
+        [commutator(basis[i - 1], basis[j - 1]) for i, j in pairs], basis
+    )
+    brackets = {}
+    for pair, sol in zip(pairs, coords):
+        combo = {k: c for k, c in enumerate(sol, start=1) if c != 0}
+        if combo:
+            brackets[pair] = combo
+    return StructureConstants(m, len(basis), brackets)
 
 
 @dataclass(frozen=True)
@@ -213,7 +187,7 @@ class IsomorphismReport:
 
 
 def isomorphism_check(m1: int, m2: int) -> IsomorphismReport:
-    """Entrywise comparison of the two structure-constant tables."""
+    """Comparison of the two sparse structure-constant maps."""
     t1 = structure_constants(m1)
     t2 = structure_constants(m2)
-    return IsomorphismReport(m1, m2, t1.c == t2.c)
+    return IsomorphismReport(m1, m2, t1.brackets == t2.brackets)

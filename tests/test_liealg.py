@@ -1,12 +1,16 @@
 """Generators, commutators, structure constants, cross-m comparison."""
 
+import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from burgers_hierarchy import liealg
 from burgers_hierarchy.hierarchy import VectorField
 from burgers_hierarchy.liealg import (
     NonClosureError,
+    _expand_in_basis,
     commutator,
     generators,
     isomorphism_check,
@@ -85,7 +89,8 @@ class TestStructureConstants:
 
     def test_antisymmetry_and_jacobi(self):
         table = structure_constants(1)
-        assert table.antisymmetry_holds()
+        assert all(table.entry(i, j, k) == -table.entry(j, i, k)
+                   for i, j, k in product(range(1, 6), repeat=3))
         assert table.jacobi_residual() == 0
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -93,11 +98,11 @@ class TestStructureConstants:
         table = structure_constants(m)
         assert table.jacobi_residual() == 0
         assert all(isinstance(c, Fraction)
-                   for plane in table.c for row in plane for c in row)
+                   for combo in table.brackets.values() for c in combo.values())
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_same_table_as_single_component(self, m):
-        assert structure_constants(m).c == structure_constants(1).c
+        assert structure_constants(m).brackets == structure_constants(1).brackets
 
     def test_non_closure_detected(self):
         # [d/dx, x^2 d/du] = 2x d/du escapes the span of the pair
@@ -105,10 +110,8 @@ class TestStructureConstants:
             VectorField(1, 1, ZERO, ONE, (ZERO,), name="a"),
             VectorField(1, 1, ZERO, ZERO, (X ** 2,), name="b"),
         ]
-        from burgers_hierarchy.liealg import _expand_in_basis
-
         with pytest.raises(NonClosureError):
-            _expand_in_basis(commutator(basis[0], basis[1]), basis)
+            _expand_in_basis([commutator(basis[0], basis[1])], basis)
 
     def test_table_rendering(self):
         table = structure_constants(2)
@@ -116,6 +119,51 @@ class TestStructureConstants:
         assert "2*Xi1" in text
         doc = table.to_json_dict()
         assert doc["brackets"]["[1,3]"] == {"1": "2"}
+
+    def test_json_lists_both_orders(self):
+        brackets = structure_constants(1).to_json_dict()["brackets"]
+        assert len(brackets) == 14
+        assert {f"[{key[3]},{key[1]}]" for key in brackets} == set(brackets)
+        assert brackets["[3,1]"] == {"1": "-2"}
+
+    def test_jacobi_detects_a_wrong_coefficient(self):
+        # [Xi3, Xi4] = Xi4 becomes 2*Xi4: still antisymmetric, no longer a Lie bracket
+        table = structure_constants(1)
+        assert table.brackets[(3, 4)] == {4: 1}
+        broken = dataclasses.replace(table, brackets={**table.brackets, (3, 4): {4: Fraction(2)}})
+        assert broken.jacobi_residual() != 0
+        assert 6 * broken.jacobi_residual() == dense_jacobi_residual(broken)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_sparse_jacobi_matches_dense_sum(self, m):
+        table = structure_constants(m)
+        assert table.jacobi_residual() == dense_jacobi_residual(table) == 0
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_one_elimination_per_table(self, m, monkeypatch):
+        calls = []
+        rref = liealg.rref
+
+        def counting_rref(*args):
+            calls.append(args)
+            return rref(*args)
+
+        monkeypatch.setattr(liealg, "rref", counting_rref)
+        structure_constants(m)
+        assert len(calls) == 1
+
+
+def dense_jacobi_residual(table) -> Fraction:
+    """The Jacobi defect summed over all ordered triples and all n^5
+    products of entries, as an independent reference."""
+    n = table.n
+    idx = range(1, n + 1)
+    c = {(i, j, k): table.entry(i, j, k) for i, j, k in product(idx, repeat=3)}
+    total = Fraction(0)
+    for i, j, k, s in product(idx, repeat=4):
+        total += abs(sum(c[i, j, l] * c[l, k, s] + c[j, k, l] * c[l, i, s]
+                         + c[k, i, l] * c[l, j, s] for l in idx))
+    return total
 
 
 class TestIsomorphism:
