@@ -150,15 +150,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_KAPPA_TARGETS = {
-    # m=1: kappa (kappa - 1) (2 kappa + 1); otherwise kappa (2 kappa + 1)
-    1: [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)],
-}
-_KAPPA_DEFAULT_TARGET = [Fraction(0), Fraction(1), Fraction(2)]
-
-
-def _kappa_target(m: int) -> list[Fraction]:
-    return _KAPPA_TARGETS.get(m, _KAPPA_DEFAULT_TARGET)
+def _kappa_target(m: int) -> tuple[list[Fraction], str]:
+    """The factor the kappa constraint must be divisible by, as
+    coefficients [c0, c1, ...] and as text."""
+    if m == 1:
+        return [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)], "kappa*(kappa-1)*(2*kappa+1)"
+    return [Fraction(0), Fraction(1), Fraction(2)], "kappa*(2*kappa+1)"
 
 
 def _verify_one(kind: str, m: int) -> dict:
@@ -177,7 +174,7 @@ def _verify_one(kind: str, m: int) -> dict:
     if kind == "kappa":
         poly = prolong.verify_kappa_constraint(m)
         coeffs = kappa_poly_coefficients(poly)
-        target = _kappa_target(m)
+        target, label = _kappa_target(m)
         if poly_rem(coeffs, target):
             raise prolong.VerificationError(
                 f"m={m}: constraint {poly} is not divisible by the expected factor"
@@ -186,7 +183,7 @@ def _verify_one(kind: str, m: int) -> dict:
             "m": m,
             "status": "ok",
             "constraint": poly.render(),
-            "divisible_by": "kappa*(kappa-1)*(2*kappa+1)" if m == 1 else "kappa*(2*kappa+1)",
+            "divisible_by": label,
         }
     raise ConfigError(f"unknown verify kind {kind!r}")
 
@@ -367,10 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--snapshots", type=lambda s: [float(v) for v in s.split(",")])
     p.add_argument("--tol", type=float, help="fail (exit 3) if Linf exceeds this")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact-boundary", action="store_true", default=True,
-                      help="Dirichlet data from the exact solution (default)")
-    mode.add_argument("--periodic", action="store_true")
+    p.add_argument("--periodic", action="store_true",
+                   help="periodic grid instead of Dirichlet data from the exact solution")
     _add_common(p)
     p.set_defaults(fn=cmd_solve)
 

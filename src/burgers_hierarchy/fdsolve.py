@@ -87,23 +87,22 @@ class GridField:
             raise SolverBlowupError(f"non-finite state at t={self.time}")
 
 
-def _central_dx(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(u, -1, axis=-1) - np.roll(u, 1, axis=-1)) / (2 * dx)
-    out = np.empty_like(u)
-    out[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2 * dx)
-    # one-sided at the ends; these rows are overwritten by boundary data
-    out[..., 0] = (u[..., 1] - u[..., 0]) / dx
-    out[..., -1] = (u[..., -1] - u[..., -2]) / dx
-    return out
+def _wrapped(u: np.ndarray) -> np.ndarray:
+    """u with its last column prepended and its first appended: the end
+    columns of the stencils below take wrapped neighbours (periodic
+    grids); on Dirichlet grids _substep overwrites them with boundary
+    data."""
+    return np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
 
 
-def _apply_diffusion(u: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(u, -1, axis=-1) - 2 * u + np.roll(u, 1, axis=-1)) / dx ** 2
-    out = np.zeros_like(u)
-    out[..., 1:-1] = (u[..., 2:] - 2 * u[..., 1:-1] + u[..., :-2]) / dx ** 2
-    return out
+def _central_dx(u: np.ndarray, dx: float) -> np.ndarray:
+    w = _wrapped(u)
+    return (w[..., 2:] - w[..., :-2]) / (2 * dx)
+
+
+def _apply_diffusion(u: np.ndarray, dx: float) -> np.ndarray:
+    w = _wrapped(u)
+    return (w[..., 2:] - 2 * u + w[..., :-2]) / dx ** 2
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,12 +134,12 @@ def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
 
 def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
              bc: BoundaryFn | None, solve) -> np.ndarray:
-    periodic = grid.boundary == "periodic"
     dx = grid.dx
-    adv = values * _central_dx(values[0], dx, periodic)
-    adv[:-1] += _central_dx(values[1:], dx, periodic)
-    rhs = values + h * ((1 - grid.theta) * _apply_diffusion(values, dx, periodic) - adv)
-    if not periodic:
+    ux = _central_dx(values, dx)
+    adv = values * ux[0]
+    adv[:-1] += ux[1:]
+    rhs = values + h * ((1 - grid.theta) * _apply_diffusion(values, dx) - adv)
+    if grid.boundary == "dirichlet":
         rhs[:, [0, -1]] = bc(t + h)
     return solve(rhs.T).T
 

@@ -2,9 +2,11 @@
 
 For m components at tier k = ceil(m/2), the system has residuals
 
-    u_a,t + u_a * u_1,x - u_a,xx + u_{a+1},x     (a = 1..m-1)
-    u_m,t + u_m * u_1,x - u_m,xx
+    u_a,t + u_a * u_1,x - u_a,xx + u_{a+1},x     (a = 1..m)
 
+read through :func:`components`: u_0 = -1, and u_{m+1}, every other index
+outside 1..m and every derivative of u_0 are 0.  With u_0 = -1 the
+Hopf-Cole row system is sum_{j=0..m} (-2)^j u_{m-j} d^j v / dx^j = 0.
 Every component is advected by the first one and forced by the x
 derivative of the next.  The same system is the last row of a single
 matrix Burgers equation built from the m x m companion matrix with
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+from typing import Callable
 
 from .symcore import (
     Expr,
@@ -36,6 +39,19 @@ def tier_of(m: int) -> int:
 def _check_m(m: int):
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
+
+
+def components(m: int, tier: int) -> Callable[..., Expr]:
+    """u(a, nt=0, nx=0) over the m components of family ``tier``: the jet
+    coordinate for 1 <= a <= m, -1 for the undifferentiated u_0, and 0
+    for every other index."""
+
+    def u(a: int, nt: int = 0, nx: int = 0) -> Expr:
+        if 1 <= a <= m:
+            return jet(tier, a, nt, nx)
+        return -ONE if (a, nt, nx) == (0, 0, 0) else ZERO
+
+    return u
 
 
 @dataclass(frozen=True)
@@ -84,20 +100,17 @@ def build_delta(m: int, tier: int | None = None) -> PdeSystem:
     """The m-component system at tier ``tier`` (default ceil(m/2))."""
     _check_m(m)
     k = tier_of(m) if tier is None else tier
-    residuals = []
-    for a in range(1, m + 1):
-        res = jet(k, a, nt=1) + jet(k, a) * jet(k, 1, nx=1) - jet(k, a, nx=2)
-        if a < m:
-            res = res + jet(k, a + 1, nx=1)
-        residuals.append(res)
+    u = components(m, k)
+    residuals = tuple(u(a, nt=1) + u(a) * u(1, nx=1) - u(a, nx=2) + u(a + 1, nx=1)
+                      for a in range(1, m + 1))
     solved = tuple(JetCoord(k, a, nt=1) for a in range(1, m + 1))
-    return PdeSystem(m, k, tuple(residuals), solved)
+    return PdeSystem(m, k, residuals, solved)
 
 
-def build_companion(m: int, tier: int | None = None) -> list[list[Expr]]:
+def build_companion(m: int) -> list[list[Expr]]:
     """m x m matrix with superdiagonal ones and last row (u_m, ..., u_1)."""
     _check_m(m)
-    k = tier_of(m) if tier is None else tier
+    k = tier_of(m)
     rows = []
     for i in range(m - 1):
         rows.append([ONE if j == i + 1 else ZERO for j in range(m)])
@@ -105,13 +118,13 @@ def build_companion(m: int, tier: int | None = None) -> list[list[Expr]]:
     return rows
 
 
-def matrix_burgers_residual(m: int, tier: int | None = None) -> list[list[Expr]]:
+def matrix_burgers_residual(m: int) -> list[list[Expr]]:
     """Entrywise O_t + O_x O - O_xx for the companion matrix O.
 
     Rows 1..m-1 vanish identically; row m carries the system residuals in
     reversed component order (see :func:`companion_row_permutation`).
     """
-    omega = build_companion(m, tier)
+    omega = build_companion(m)
     o_t = [[total_derivative(e, "t") for e in row] for row in omega]
     o_x = [[total_derivative(e, "x") for e in row] for row in omega]
     o_xx = [[total_derivative(e, "x") for e in row] for row in o_x]
@@ -175,50 +188,31 @@ class VectorField:
 def build_symmetry_field(m: int) -> VectorField:
     """The conditional-symmetry generator of the m-component system.
 
-    tau is 1; xi and the eta_a are polynomials in the tier-k variables
-    and m+2 fresh tier-(k+1) symbols (undifferentiated dependent
-    variables of the follow-up system).  For m = 1 the eta formula drops
-    the u_2*u_m term entirely, since there is no second component.
+    tau is 1; xi and the eta_a are polynomials in the tier-k variables u
+    and m+2 fresh tier-(k+1) symbols w (undifferentiated dependent
+    variables of the follow-up system), both read through
+    :func:`components`.
     """
     _check_m(m)
     k = tier_of(m)
-
-    def u(a: int) -> Expr:
-        return jet(k, a)
-
-    def w(a: int) -> Expr:
-        return jet(k + 1, a)
-
+    u, w = components(m, k), components(m + 2, k + 1)
     xi = (w(1) - u(1)) / 2
-    etas = []
-    for a in range(1, m + 1):
-        if a <= m - 2:
-            e = (
-                -u(1) ** 2 * u(a) - u(1) * u(a + 1) - u(2) * u(a)
-                + w(1) * u(1) * u(a) + w(2) * u(a) + w(1) * u(a + 1)
-                - u(a + 2) + w(a + 2)
-            )
-        elif a == m - 1:
-            e = (
-                -u(1) ** 2 * u(a) - u(1) * u(m) - u(2) * u(a)
-                + w(1) * u(1) * u(a) + w(2) * u(a) + w(1) * u(m)
-                + w(m + 1)
-            )
-        else:
-            e = -u(1) ** 2 * u(m) + w(1) * u(1) * u(m) + w(2) * u(m) + w(m + 2)
-            if m != 1:
-                e = e - u(2) * u(m)
-        etas.append(e / 4)
-    return VectorField(m, k, ONE, xi, tuple(etas), name=f"conditional-{m}")
+    etas = tuple(
+        (-u(1) ** 2 * u(a) - u(1) * u(a + 1) - u(2) * u(a)
+         + w(1) * u(1) * u(a) + w(2) * u(a) + w(1) * u(a + 1)
+         - u(a + 2) + w(a + 2)) / 4
+        for a in range(1, m + 1)
+    )
+    return VectorField(m, k, ONE, xi, etas, name=f"conditional-{m}")
 
 
 def degenerate_direction_rules(m: int) -> SubstitutionMap:
-    """Identify the fresh symbols with the base variables (and zero out
-    the last two); under these rules the symmetry field vanishes."""
+    """Identify the fresh symbols w_a with the base variables u_a (so
+    w_{m+1} and w_{m+2} become 0); under these rules the symmetry field
+    vanishes."""
     k = tier_of(m)
-    rules = [(JetCoord(k + 1, a), jet(k, a)) for a in range(1, m + 1)]
-    rules += [(JetCoord(k + 1, m + 1), ZERO), (JetCoord(k + 1, m + 2), ZERO)]
-    return SubstitutionMap(rules)
+    u = components(m, k)
+    return SubstitutionMap((JetCoord(k + 1, a), u(a)) for a in range(1, m + 3))
 
 
 def retier_system(system: PdeSystem, new_tier: int) -> PdeSystem:

@@ -3,10 +3,9 @@
 Writing the system as a matrix Burgers equation for the companion matrix
 and linearizing with the matrix transformation O = -2 P_x P^{-1} turns
 solving into linear algebra: pick m heat-equation solutions v_1..v_m,
-then the row system
+then the row system (u_0 = -1)
 
-    u_m v_i + sum_{j=1}^{m-1} (-2)^j u_{m-j} d^j v_i / dx^j
-        = (-2)^m d^m v_i / dx^m,      i = 1..m,
+    sum_{j=0..m} (-2)^j u_{m-j} d^j v_i / dx^j = 0,      i = 1..m,
 
 determines (u_m, ..., u_1).  The solved components are rational
 functions whose denominator is the system determinant; solutions blow up
@@ -132,9 +131,6 @@ def heat_polynomial(n: int) -> HeatSolution:
     return HeatSolution(p, label=f"heatpoly({n})")
 
 
-_GAUSSIAN_CACHE: dict[Fraction, OpaqueSymbol] = {}
-
-
 def heat_gaussian(t0) -> HeatSolution:
     """The kernel (t + t0)^(-1/2) * exp(-x^2 / (4 (t + t0))), t0 > 0.
 
@@ -145,11 +141,8 @@ def heat_gaussian(t0) -> HeatSolution:
     t0 = _as_rat(t0)
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    sym = _GAUSSIAN_CACHE.get(t0)
-    if sym is None:
-        tag = f"{t0.numerator}" + (f"q{t0.denominator}" if t0.denominator != 1 else "")
-        sym = OpaqueSymbol(f"gk{tag}", (T_ATOM,))
-        _GAUSSIAN_CACHE[t0] = sym
+    tag = f"{t0.numerator}" + (f"q{t0.denominator}" if t0.denominator != 1 else "")
+    sym = OpaqueSymbol(f"gk{tag}", (T_ATOM,))
     s = sym.expr()
     s_t = OpaqueDeriv(sym, (1,))
     rules = SubstitutionMap([(s_t, -(s ** 3) / 2)])
@@ -279,10 +272,11 @@ class ExactSolution:
 
     def residuals(self) -> list[RationalExpr]:
         """Residual r_a = u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x of each
-        equation (no u_{m+1} term for a = m) as R_a / D^3, with R_a = D^3 r_a
-        built over the one common denominator; R_a = 0 proves equation a.
+        equation as R_a / D^3, with R_a = D^3 r_a built over the one common
+        denominator; R_a = 0 proves equation a.
 
-        With u_a = N_a / D and W_a = N_a,x D - N_a D_x,
+        With u_a = N_a / D, W_a = N_a,x D - N_a D_x and W_{m+1} = 0
+        (u_{m+1} = 0),
 
             R_a = D ((N_a,t - N_a,xx) D - N_a (D_t - D_xx) + W_{a+1})
                   + N_a W_1 + 2 D_x W_a.
@@ -297,14 +291,12 @@ class ExactSolution:
             det_heat = d(det, "t") - d(det_x, "x")
             nums = self.numerators
             nums_x = [d(n, "x") for n in nums]
-            ws = [n_x * det - n * det_x for n, n_x in zip(nums, nums_x)]
+            ws = [n_x * det - n * det_x for n, n_x in zip(nums, nums_x)] + [ZERO]
             den = det * det * det
             out = []
             for a in range(self.m):
                 n = nums[a]
-                inner = (d(n, "t") - d(nums_x[a], "x")) * det - n * det_heat
-                if a + 1 < self.m:
-                    inner = inner + ws[a + 1]
+                inner = (d(n, "t") - d(nums_x[a], "x")) * det - n * det_heat + ws[a + 1]
                 r = det * inner + n * ws[0] + 2 * det_x * ws[a]
                 out.append(RationalExpr(r, den))
             self._residuals = out

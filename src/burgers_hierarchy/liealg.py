@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .hierarchy import VectorField, tier_of
+from .hierarchy import VectorField, components, tier_of
 from .linalg import rref
-from .symcore import Expr, ONE, T, X, ZERO, coefficient_rows, jet, rational
+from .symcore import ONE, T, X, ZERO, coefficient_rows, rational
 
 
 class NonClosureError(Exception):
@@ -25,31 +25,25 @@ class NonClosureError(Exception):
 
 
 def generators(m: int) -> list[VectorField]:
-    """The five generators in their closed form for m components."""
+    """The five generators in their closed form for m components, read
+    through :func:`~burgers_hierarchy.hierarchy.components` (u_0 = -1)."""
     if m < 1:
         raise ValueError("m must be positive")
     k = tier_of(m)
-
-    def u(a: int) -> Expr:
-        return jet(k, a)
-
+    u = components(m, k)
     zeros = (ZERO,) * m
     xi1 = VectorField(m, k, ONE, ZERO, zeros, name="Xi1")
     xi2 = VectorField(m, k, ZERO, ONE, zeros, name="Xi2")
     etas3 = tuple(-rational(a) * u(a) for a in range(1, m + 1))
     xi3 = VectorField(m, k, 2 * T, X, etas3, name="Xi3")
-    etas4 = [Expr.from_rational(m)]
-    etas4 += [rational(a - m - 1) * u(a - 1) for a in range(2, m + 1)]
-    xi4 = VectorField(m, k, ZERO, T, tuple(etas4), name="Xi4")
-    etas5 = [rational(m) * X - T * u(1)]
-    if m > 1:
-        etas5.append(-(rational(m - 1) * (X * u(1) + m) + 2 * T * u(2)))
-    for a in range(3, m + 1):
-        etas5.append(
-            -(rational(a) * T * u(a)
-              + rational(m - a + 1) * (X * u(a - 1) - rational(m - a + 2) * u(a - 2)))
-        )
-    xi5 = VectorField(m, k, T ** 2, T * X, tuple(etas5), name="Xi5")
+    etas4 = tuple(rational(a - m - 1) * u(a - 1) for a in range(1, m + 1))
+    xi4 = VectorField(m, k, ZERO, T, etas4, name="Xi4")
+    etas5 = tuple(
+        -(rational(a) * T * u(a)
+          + rational(m - a + 1) * (X * u(a - 1) - rational(m - a + 2) * u(a - 2)))
+        for a in range(1, m + 1)
+    )
+    xi5 = VectorField(m, k, T ** 2, T * X, etas5, name="Xi5")
     return [xi1, xi2, xi3, xi4, xi5]
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import time
 
-from .hierarchy import PdeSystem, VectorField, build_delta, build_symmetry_field, tier_of
+from .hierarchy import (PdeSystem, VectorField, build_delta, build_symmetry_field,
+                        components, tier_of)
 from .symcore import (
     Expr,
     JetCoord,
@@ -152,15 +153,14 @@ def manifold_rules(m: int, field: VectorField) -> ManifoldRules:
     if field.tau != ONE:
         raise ValueError("surface-condition rules require the normalized form tau = 1")
     k = field.tier
+    u = components(m, k)
     rules: dict[JetCoord, Expr] = {}
     for a in range(1, m + 1):
-        q_rhs = field.etas[a - 1] - field.xi * jet(k, a, nx=1)
+        q_rhs = field.etas[a - 1] - field.xi * u(a, nx=1)
         # u_a,t from Q_a = 0
         rules[JetCoord(k, a, nt=1)] = q_rhs
         # u_a,xx from the solved form, with u_a,t already eliminated
-        xx_rhs = q_rhs + jet(k, a) * jet(k, 1, nx=1)
-        if a < m:
-            xx_rhs = xx_rhs + jet(k, a + 1, nx=1)
+        xx_rhs = q_rhs + u(a) * u(1, nx=1) + u(a + 1, nx=1)
         rules[JetCoord(k, a, nx=2)] = xx_rhs
         # differential consequences; SubstitutionMap closes them against
         # the rules above
@@ -174,13 +174,13 @@ def manifold_rules(m: int, field: VectorField) -> ManifoldRules:
 # determining polynomials
 
 
-def generic_ansatz(m: int, tier: int | None = None):
+def generic_ansatz(m: int):
     """Vector field with opaque xi(t, x, u_1..u_m) and eta_a(t, x, u_1..u_m).
 
     Returns (field, symbols) where symbols maps name -> OpaqueSymbol for
     use with the parser and for building expected coefficients.
     """
-    k = tier_of(m) if tier is None else tier
+    k = tier_of(m)
     args = (T_ATOM, X_ATOM) + tuple(JetCoord(k, a) for a in range(1, m + 1))
     xi = OpaqueSymbol("xi", args)
     etas = [OpaqueSymbol(f"eta{a}", args) for a in range(1, m + 1)]

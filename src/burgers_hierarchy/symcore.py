@@ -424,10 +424,6 @@ class Expr:
         return Expr(_ints(_checked({m: c for m, c in terms.items() if c != 0})))
 
     @staticmethod
-    def zero() -> "Expr":
-        return ZERO
-
-    @staticmethod
     def from_rational(v: Scalar) -> "Expr":
         c = _scalar(v)
         return Expr({0: c} if c else {})
@@ -800,9 +796,6 @@ class SubstitutionMap:
 
         for atom in self.rules:
             close(atom)
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     def apply(self, e: Expr) -> Expr:
         """Rewrite every left-hand atom of ``e``, in one pass."""

@@ -160,12 +160,15 @@ class TestSolveAndConvergence:
                      "--dt", "1e-3", "--t-end", "0.02", "--tol", "1e-15",
                      "--out-dir", str(tmp_path)]) == 3
 
-    def test_mutually_exclusive_boundaries(self, tmp_path, catalog):
+    def test_periodic_solve(self, tmp_path, catalog):
         path = catalog(CATALOG_M1)
         assert main(["solve", "--m", "1", "--catalog", path,
-                     "--x-min", "-5", "--x-max", "5", "--t-end", "0.01",
-                     "--exact-boundary", "--periodic",
-                     "--out-dir", str(tmp_path)]) == 4
+                     "--x-min", "-5", "--x-max", "5", "--nx", "64",
+                     "--dt", "1e-3", "--t-end", "0.01", "--snapshots", "0.005",
+                     "--periodic", "--out-dir", str(tmp_path)]) == 0
+        for idx in (0, 1):
+            snap = (tmp_path / f"solve_m1_snap{idx}.csv").read_text().splitlines()
+            assert snap[0] == "t,x,u1" and len(snap) == 65
 
     def test_convergence_quick(self, tmp_path, catalog):
         path = catalog(CATALOG_M1)

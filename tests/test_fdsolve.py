@@ -115,13 +115,21 @@ class TestDiscreteConsistency:
             xs = np.linspace(0.0, 1.0, nx)
             dx = xs[1] - xs[0]
             u = np.sin(2 * np.pi * xs)
-            d1 = _central_dx(u, dx, periodic=False)[1:-1]
-            d2 = _apply_diffusion(u, dx, periodic=False)[1:-1]
+            d1 = _central_dx(u, dx)[1:-1]
+            d2 = _apply_diffusion(u, dx)[1:-1]
             e1 = np.max(np.abs(d1 - 2 * np.pi * np.cos(2 * np.pi * xs)[1:-1]))
             e2 = np.max(np.abs(d2 + (2 * np.pi) ** 2 * np.sin(2 * np.pi * xs)[1:-1]))
             errors.append(max(e1, e2))
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert all(1.8 < p < 2.2 for p in orders)
+
+    def test_periodic_stencils_match_roll(self):
+        # the wrapped end columns give the np.roll stencils bit for bit
+        u = np.random.default_rng(5).standard_normal((3, 37))
+        dx = 0.173
+        right, left = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
+        assert np.array_equal(_central_dx(u, dx), (right - left) / (2 * dx))
+        assert np.array_equal(_apply_diffusion(u, dx), (right - 2 * u + left) / dx ** 2)
 
     def test_interpolation_only_when_no_steps(self):
         sol = traveling_wave()

@@ -1,5 +1,6 @@
-"""Golden closed forms of the systems (m = 1..8) and symmetry fields
-(m = 1..6), the companion-matrix identity, and system invariants."""
+"""Golden closed forms of the systems and symmetry fields, the
+component convention, the companion-matrix identity, and system
+invariants."""
 
 import json
 
@@ -11,6 +12,7 @@ from burgers_hierarchy.hierarchy import (
     build_delta,
     build_symmetry_field,
     companion_row_permutation,
+    components,
     degenerate_direction_rules,
     matrix_burgers_residual,
     retier_system,
@@ -33,6 +35,34 @@ def golden_system(m: int, k: int) -> list:
             r = r + u(k, a + 1, nx=1)
         residuals.append(r)
     return residuals
+
+
+def reference_etas(m: int) -> list:
+    """The symmetry-field etas with the last components written out case
+    by case: a <= m-2, a = m-1, and a = m (without u_2*u_m for m = 1)."""
+    k = tier_of(m)
+
+    def w(a):
+        return jet(k + 1, a)
+
+    def v(a):
+        return jet(k, a)
+
+    etas = []
+    for a in range(1, m + 1):
+        if a <= m - 2:
+            e = (-v(1) ** 2 * v(a) - v(1) * v(a + 1) - v(2) * v(a)
+                 + w(1) * v(1) * v(a) + w(2) * v(a) + w(1) * v(a + 1)
+                 - v(a + 2) + w(a + 2))
+        elif a == m - 1:
+            e = (-v(1) ** 2 * v(a) - v(1) * v(m) - v(2) * v(a)
+                 + w(1) * v(1) * v(a) + w(2) * v(a) + w(1) * v(m) + w(m + 1))
+        else:
+            e = -v(1) ** 2 * v(m) + w(1) * v(1) * v(m) + w(2) * v(m) + w(m + 2)
+            if m != 1:
+                e = e - v(2) * v(m)
+        etas.append(e / 4)
+    return etas
 
 
 # golden closed forms of the symmetry fields, one per m
@@ -109,8 +139,20 @@ GOLDEN_FIELDS = {
 }
 
 
+class TestComponents:
+    def test_convention(self):
+        u = components(3, 2)
+        assert [u(a) for a in (1, 2, 3)] == [jet(2, 1), jet(2, 2), jet(2, 3)]
+        assert u(2, nt=1, nx=2) == jet(2, 2, 1, 2)
+        assert u(0) == -ONE
+        for a in (4, 5, -1):
+            assert u(a).is_zero() and u(a, nx=1).is_zero()
+        for nt, nx in ((1, 0), (0, 1), (0, 2), (1, 1)):
+            assert u(0, nt=nt, nx=nx).is_zero()
+
+
 class TestBuildDelta:
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 33))
     def test_matches_golden(self, m):
         system = build_delta(m)
         assert system.tier == tier_of(m)
@@ -193,6 +235,13 @@ class TestSymmetryField:
         assert len(field.etas) == m
         for eta, expected in zip(field.etas, golden["etas"]):
             assert eta == parse_expr(expected)
+
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_matches_case_by_case_reference(self, m):
+        field = build_symmetry_field(m)
+        k = tier_of(m)
+        assert field.xi == (jet(k + 1, 1) - jet(k, 1)) / 2
+        assert list(field.etas) == reference_etas(m)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_degenerate_direction(self, m):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from burgers_hierarchy import liealg
-from burgers_hierarchy.hierarchy import VectorField
+from burgers_hierarchy.hierarchy import VectorField, tier_of
 from burgers_hierarchy.liealg import (
     NonClosureError,
     _expand_in_basis,
@@ -20,7 +20,36 @@ from burgers_hierarchy.prolong import verify_classical
 from burgers_hierarchy.symcore import ONE, T, X, ZERO, jet
 
 
+def reference_generator_etas(m: int) -> tuple:
+    """The Xi4 and Xi5 etas with the first components written out
+    separately: a = 1 for both, a = 2 for Xi5 when m > 1."""
+    k = tier_of(m)
+
+    def u(a):
+        return jet(k, a)
+
+    etas4 = [m * ONE] + [(a - m - 1) * u(a - 1) for a in range(2, m + 1)]
+    etas5 = [m * X - T * u(1)]
+    if m > 1:
+        etas5.append(-((m - 1) * (X * u(1) + m) + 2 * T * u(2)))
+    for a in range(3, m + 1):
+        etas5.append(-(a * T * u(a) + (m - a + 1) * (X * u(a - 1) - (m - a + 2) * u(a - 2))))
+    return tuple(etas4), tuple(etas5)
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("m", range(1, 33))
+    def test_matches_case_by_case_reference(self, m):
+        k = tier_of(m)
+        xi1, xi2, xi3, xi4, xi5 = generators(m)
+        zeros = (ZERO,) * m
+        assert (xi1.tau, xi1.xi, xi1.etas) == (ONE, ZERO, zeros)
+        assert (xi2.tau, xi2.xi, xi2.etas) == (ZERO, ONE, zeros)
+        assert (xi3.tau, xi3.xi) == (2 * T, X)
+        assert xi3.etas == tuple(-a * jet(k, a) for a in range(1, m + 1))
+        assert (xi4.tau, xi4.xi, xi5.tau, xi5.xi) == (ZERO, T, T ** 2, T * X)
+        assert (xi4.etas, xi5.etas) == reference_generator_etas(m)
+
     def test_single_component_closed_forms(self):
         xi1, xi2, xi3, xi4, xi5 = generators(1)
         u = jet(1, 1)
