@@ -87,7 +87,9 @@ def _parse_m_range(text: str, cap: int) -> list[int]:
             ms = [int(text)]
     except ValueError as exc:
         raise ConfigError(f"bad m range {text!r}") from exc
-    if not ms or any(m < 1 for m in ms):
+    if not ms:
+        raise ConfigError(f"empty m range {text!r}")
+    if any(m < 1 for m in ms):
         raise ConfigError("m must be >= 1")
     if any(m > cap for m in ms):
         raise ConfigError(
@@ -217,20 +219,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.points < 0:
+        raise ConfigError(f"--points must be >= 0, got {args.points}")
     vs = _load_catalog(args.catalog, args.m)
     sol = hopfcole.solve_exact(args.m, vs)
     outdir = _outdir(args)
     doc = sol.to_json_dict()
-    box = tuple(args.box)
     if args.certify:
-        report = hopfcole.certify(sol, tol=args.tol, n_points=args.points,
-                                  box=box, seed=args.seed)
+        report = hopfcole.certify(sol)
         doc["certification"] = report.to_json_dict()
-        print(f"exact m={args.m}: certified ({report.mode}), "
-              f"max residual {report.max_residual:.3e}")
+        print(f"exact m={args.m}: certified ({report.mode})")
     write_json(outdir / f"exact_m{args.m}.json", doc, args.no_meta)
 
-    points = hopfcole.sample_points(sol, args.points, box, args.seed)
+    points = hopfcole.sample_points(sol, args.points, tuple(args.box), args.seed)
     rows = [(t, x, *sol.evaluate(t, x)) for (t, x) in sorted(points)]
     header = ["t", "x"] + [f"u{a}" for a in range(1, args.m + 1)]
     write_csv(outdir / f"exact_m{args.m}.csv", header, rows)
@@ -345,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--catalog", required=True, help="JSON list of heat-solution records")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--tol", type=float, default=hopfcole.DEFAULT_CERT_TOL)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=int, default=100,
+                   help="number of rows in exact_m<N>.csv")
     p.add_argument("--box", type=float, nargs=4, default=[0.1, 1.0, -3.0, 3.0],
                    metavar=("TMIN", "TMAX", "XMIN", "XMAX"))
     p.add_argument("--seed", type=int, default=20250)

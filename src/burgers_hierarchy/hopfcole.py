@@ -19,7 +19,7 @@ validated against v_t - v_xx = 0 exactly at construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 import random
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -46,7 +46,6 @@ from .symcore import (
     total_derivative,
 )
 
-DEFAULT_CERT_TOL = 1e-10
 SINGULARITY_REL_TOL = 1e-8
 
 
@@ -63,7 +62,7 @@ class SingularSystemError(ValueError):
 
 
 class CertificationError(ValueError):
-    """A residual is provably nonzero or exceeded the tolerance."""
+    """A residual does not reduce to 0, or too few guard-safe sample points."""
 
 
 NumericAtomMap = dict[Atom, Callable[[float, float], float]]
@@ -357,24 +356,14 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
 
 @dataclass
 class CertifyReport:
+    """A proof that every residual is 0; :func:`certify` raises otherwise."""
+
     m: int
-    mode: str  # "symbolic" or "numeric"
-    n_points: int
-    tol: float
-    max_residual: float
-    location: tuple[float, float] | None
-    passed: bool
+    mode: str
+    passed: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "mode": self.mode,
-            "n_points": self.n_points,
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "location": list(self.location) if self.location else None,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def sample_points(
@@ -402,47 +391,26 @@ def sample_points(
     return points
 
 
-def certify(
-    sol: ExactSolution,
-    tol: float = DEFAULT_CERT_TOL,
-    n_points: int = 100,
-    box: tuple[float, float, float, float] = (0.1, 1.0, -3.0, 3.0),
-    seed: int = 20250,
-) -> CertifyReport:
-    """Certify sol against the system from its exact residuals R_a.
+def certify(sol: ExactSolution) -> CertifyReport:
+    """Prove that sol solves the system: every residual R_a is 0.
 
-    * every R_a is 0: proved, mode "symbolic";
-    * some R_a is a nonzero polynomial in t and x alone: proved wrong,
-      raise :class:`CertificationError` without sampling;
-    * otherwise R_a holds exp/sin/cos or auxiliary atoms, whose algebraic
-      relations the kernel does not apply: undecided, so evaluate the
-      residuals below ``tol`` at points away from determinant zeros,
-      mode "numeric".
+    Heat data always pass.  Each :class:`HeatSolution` satisfies
+    v_t = v_xx canonically (construction checks it after its rules); the
+    kernel's D_t and D_x commute and the rules fix reduced expressions, so
+    d_t d_x^j v = d_x^{j+2} v canonically.  R_a is a polynomial in the
+    entries d_x^j v_i that the Hopf-Cole identity makes the zero
+    polynomial, and a polynomial identity still holds mapped into the
+    kernel.  So a nonzero R_a means sol did not come from
+    :func:`solve_exact` on heat data (its numerators were edited, say):
+    raise :class:`CertificationError` naming the first such equation.
     """
-    nonzero = [(a, r) for a, r in enumerate(sol.residuals(), start=1) if not r.num.is_zero()]
-    if not nonzero:
-        return CertifyReport(sol.m, "symbolic", 0, 0.0, 0.0, None, True)
-    for a, r in nonzero:
-        if r.num.atoms() <= {T_ATOM, X_ATOM}:
+    for a, r in enumerate(sol.residuals(), start=1):
+        if not r.num.is_zero():
             raise CertificationError(
-                f"equation {a}: the residual is a nonzero polynomial in t, x"
+                f"equation {a}: the residual R_{a} does not reduce to 0, so the "
+                "solution was not built by solve_exact from heat data"
             )
-
-    samples = sample_points(sol, n_points, box, seed)
-    worst = 0.0
-    where = None
-    for (t, x) in samples:
-        for val in sol.residual_values(t, x):
-            if abs(val) > worst:
-                worst = abs(val)
-                where = (t, x)
-    passed = worst < tol
-    report = CertifyReport(sol.m, "numeric", len(samples), tol, worst, where, passed)
-    if not passed:
-        raise CertificationError(
-            f"max residual {worst:.3e} at {where} exceeds tol {tol:.1e}"
-        )
-    return report
+    return CertifyReport(sol.m, "symbolic")
 
 
 def mix_heat_solutions(vs: Sequence[HeatSolution], coeffs: Sequence[Sequence]) -> list[HeatSolution]:

@@ -85,6 +85,11 @@ class TestVerify:
         assert main(["verify", "theorem", "--m", "x..y",
                      "--out-dir", str(tmp_path)]) == 4
 
+    def test_empty_range(self, tmp_path, capsys):
+        assert main(["verify", "theorem", "--m", "3..1",
+                     "--out-dir", str(tmp_path)]) == 4
+        assert "empty m range" in capsys.readouterr().err
+
     def test_liealg_cross_m(self, tmp_path):
         assert main(["verify", "liealg", "--m", "1..3",
                      "--out-dir", str(tmp_path)]) == 0
@@ -99,10 +104,16 @@ class TestExact:
                      "--points", "20", "--box", "0.1", "1.0", "1.5", "3.0",
                      "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "exact_m2.json").read_text())
-        assert doc["certification"]["passed"] is True
+        assert doc["certification"] == {"m": 2, "mode": "symbolic", "passed": True}
         csv = (tmp_path / "exact_m2.csv").read_text().splitlines()
         assert csv[0] == "t,x,u1,u2"
         assert len(csv) == 21
+
+    def test_negative_points_is_config_error(self, tmp_path, catalog):
+        path = catalog(CATALOG_M2)
+        assert main(["exact", "--m", "2", "--catalog", path, "--points", "-1",
+                     "--out-dir", str(tmp_path)]) == 4
+        assert not (tmp_path / "exact_m2.csv").exists()
 
     def test_singular_catalog_exit_code(self, tmp_path, catalog, capsys):
         path = catalog(CATALOG_SINGULAR)

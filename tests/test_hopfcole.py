@@ -157,12 +157,12 @@ class TestCertification:
 
     def test_failed_certification_raises(self):
         sol = traveling_wave_solution()
-        # sabotage one numerator; the residual holds exp atoms, so it is
-        # undecided symbolically and the samples must catch it
+        # sabotage one numerator; the residual holds exp atoms and does
+        # not reduce to 0
         sol.numerators[0] = sol.numerators[0] + ONE
         sol._residuals = None
-        with pytest.raises(CertificationError, match="exceeds tol"):
-            certify(sol, n_points=10)
+        with pytest.raises(CertificationError, match="equation 1"):
+            certify(sol)
 
     def test_proved_nonzero_residual_raises_without_sampling(self, monkeypatch):
         sol = rational_pair_solution()
@@ -179,7 +179,7 @@ class TestCertification:
         with pytest.raises(CertificationError, match="equation 1"):
             certify(sol)
 
-    def test_undecided_correct_solution_passes_by_sampling(self):
+    def test_undecided_residual_raises(self):
         sol = rational_pair_solution()
         # multiply each numerator by sin^2 + cos^2: the same functions, but
         # the residuals vanish only through an identity the kernel does
@@ -187,10 +187,13 @@ class TestCertification:
         pythagoras = sin(X) ** 2 + cos(X) ** 2
         sol.numerators = [n * pythagoras for n in sol.numerators]
         assert not any(r.num.is_zero() for r in sol.residuals())
-        # a box away from the singular set 2t = x^2
-        report = certify(sol, n_points=20, box=(0.1, 1.0, 2.0, 4.0))
-        assert report.mode == "numeric" and report.passed
-        assert report.n_points == 20 and report.max_residual < 1e-12
+        # still a solution, in a box away from the singular set 2t = x^2
+        worst = max(abs(v) for (t, x) in sample_points(sol, 20, (0.1, 1.0, 2.0, 4.0))
+                    for v in sol.residual_values(t, x))
+        assert worst < 1e-12
+        # but it is not solve_exact's output, so certify does not accept it
+        with pytest.raises(CertificationError, match="equation 1"):
+            certify(sol)
 
     def test_residuals_share_the_cubed_determinant(self):
         sol = rational_pair_solution()

@@ -8,14 +8,17 @@ polynomials.  ``SubstitutionMap`` closes its rules at construction and
 applies them in one pass; these tests compare that against the plain
 fixpoint of one-pass substitution with the raw rules, on random acyclic
 rule sets, and check that random cyclic sets are rejected.  The
-fraction-free determinant is compared against cofactor expansion.
+fraction-free determinant is compared against cofactor expansion.  Every
+nonsingular catalog drawn from the heat-data grammar certifies
+symbolically.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from burgers_hierarchy.hopfcole import SingularSystemError, catalog_from_json, certify, solve_exact
 from burgers_hierarchy.linalg import bareiss_determinant
 from burgers_hierarchy.parser import parse_expr
 from burgers_hierarchy.symcore import (
@@ -258,3 +261,28 @@ def cofactor_det(rows):
                        min_size=n, max_size=n)))
 def test_bareiss_matches_cofactor_expansion(rows):
     assert bareiss_determinant(rows) == cofactor_det(rows)
+
+
+LEAVES = st.sampled_from(
+    [{"kind": "constant", "value": v} for v in ("1", "-2", "1/3")]
+    + [{"kind": "exponential", "a": a, "sign": s} for a in ("1", "2", "1/2") for s in (1, -1)]
+    + [{"kind": "trig", "a": a, "func": f} for a in ("1", "2", "1/2") for f in ("sin", "cos")]
+    + [{"kind": "heat_polynomial", "degree": n} for n in range(5)]
+    + [{"kind": "gaussian", "t0": t0} for t0 in ("1", "3/2")])
+ENTRIES = st.one_of(LEAVES, st.builds(
+    lambda terms: {"kind": "sum", "terms": [{"coeff": c, "term": t} for c, t in terms]},
+    st.lists(st.tuples(st.sampled_from(["1", "-1", "1/2", "3"]), LEAVES),
+             min_size=1, max_size=2)))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(ENTRIES, min_size=m, max_size=m)))
+def test_catalog_solutions_certify_symbolically(catalog):
+    """Every nonsingular draw from the catalog grammar has all residuals
+    R_a identically zero, so certify proves it."""
+    try:
+        sol = solve_exact(len(catalog), catalog_from_json(catalog))
+    except SingularSystemError:
+        assume(False)
+    assert all(r.num.is_zero() for r in sol.residuals())
+    assert certify(sol).mode == "symbolic"
