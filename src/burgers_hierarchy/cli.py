@@ -229,10 +229,10 @@ def cmd_exact(args) -> int:
         report = hopfcole.certify(sol)
         doc["certification"] = report.to_json_dict()
         print(f"exact m={args.m}: certified ({report.mode})")
-    write_json(outdir / f"exact_m{args.m}.json", doc, args.no_meta)
-
+    # sample before writing, so a bad box leaves no output behind
     points = hopfcole.sample_points(sol, args.points, tuple(args.box), args.seed)
     rows = [(t, x, *sol.evaluate(t, x)) for (t, x) in sorted(points)]
+    write_json(outdir / f"exact_m{args.m}.json", doc, args.no_meta)
     header = ["t", "x"] + [f"u{a}" for a in range(1, args.m + 1)]
     write_csv(outdir / f"exact_m{args.m}.csv", header, rows)
     return EXIT_OK

@@ -4,8 +4,10 @@ Semi-implicit scheme on a uniform 1-D grid: the stiff diffusion term is
 treated implicitly (theta-weighted, trapezoidal by default), while the
 advection and coupling terms u_a * u_1,x and u_{a+1},x use second-order
 central differences evaluated at the previous time level.  The implicit
-operator is built and factored once per grid and substep length, and each
-substep solves all m components in one call.  The advective CFL
+operator is built once per (nx, dx, substep length, theta).  The periodic
+operator is also factored once; the Dirichlet operator is tridiagonal and
+LAPACK ``gtsv`` factors it inside each O(nx) solve.  Each substep solves
+all m components in one call.  The advective CFL
 constraint dt <= C_ADV * dx / max|u_1| is enforced by adaptive
 substepping.
 
@@ -15,13 +17,14 @@ validation runs) or is periodic (free exploration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse import diags
 from scipy.sparse.linalg import factorized
 
@@ -105,15 +108,32 @@ def _apply_diffusion(u: np.ndarray, dx: float) -> np.ndarray:
     return (w[..., 2:] - 2 * u + w[..., :-2]) / dx ** 2
 
 
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system in scipy's ``(1, 1)`` banded layout
+    (row 0 superdiagonal, row 1 diagonal, row 2 subdiagonal) for an
+    (nx,) or (nx, k) right-hand side with one LAPACK ``dgtsv`` call.
+
+    This is the call ``scipy.linalg.solve_banded((1, 1), ab, rhs,
+    check_finite=False)`` ends in, without its per-call argument handling,
+    so the result is the same to the bit.  Neither argument is modified."""
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info != 0:
+        raise LinAlgError(f"dgtsv failed with info={info}")
+    return x
+
+
 @functools.lru_cache(maxsize=8)
 def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
                      theta: float) -> Callable[[np.ndarray], np.ndarray]:
     """Solver for (I - theta*h*L) y = rhs with an (nx, k) right-hand side.
 
-    Dirichlet rows are identity rows (the boundary data sits in the
-    right-hand side); periodic boundaries add the wraparound corners.
-    Non-finite input is not checked here: it propagates to the result,
-    where the caller's blow-up check catches it."""
+    The operator is built once per (boundary, nx, dx, h, theta).  Dirichlet
+    rows are identity rows (the boundary data sits in the right-hand
+    side), and :func:`solve_banded` factors the tridiagonal matrix inside
+    each O(nx) call.  Periodic boundaries add the wraparound corners, and
+    the sparse matrix is factored once.  Non-finite input is not checked
+    here: it propagates to the result, where the caller's blow-up check
+    catches it."""
     r = theta * h / dx ** 2
     if boundary == "periodic":
         mat = diags([-r, -r, 1 + 2 * r, -r, -r], [1 - nx, -1, 0, 1, nx - 1],
@@ -127,7 +147,7 @@ def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
     ab.setflags(write=False)  # shared by every caller of the cached solver
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
+        return solve_banded(ab, rhs)
 
     return solve
 
@@ -144,24 +164,30 @@ def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
     return solve(rhs.T).T
 
 
-def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None) -> GridField:
-    """Advance by grid.dt (with internal CFL substepping); returns a new
-    field and never mutates the input.  A non-finite input raises
-    :class:`SolverBlowupError`: from the CFL estimate when it is in u_1,
-    else from the check after the first substep, which it reaches."""
+def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
+         dt: float | None = None) -> GridField:
+    """Advance by dt, or by grid.dt when dt is not given (with internal
+    CFL substepping); returns a new field and never mutates the input.  A
+    non-finite input raises :class:`SolverBlowupError`: from the CFL
+    estimate when it is in u_1, else from the check after the first
+    substep, which it reaches."""
     if grid.boundary == "dirichlet" and bc is None:
         raise ValueError("dirichlet boundaries need a boundary-data callable")
+    if dt is None:
+        dt = grid.dt
+    elif dt <= 0:
+        raise ValueError("dt must be positive")
     values = state.values
     umax = float(np.max(np.abs(values[0]))) if values.size else 0.0
     if not math.isfinite(umax):
         raise SolverBlowupError(f"non-finite state at t={state.time}")
     dt_max = C_ADV * grid.dx / max(umax, 1e-12)
-    nsub = max(1, math.ceil(grid.dt / dt_max))
+    nsub = max(1, math.ceil(dt / dt_max))
     if nsub > grid.max_substeps:
         raise CFLError(
             f"advective CFL needs {nsub} substeps per dt (> {grid.max_substeps})"
         )
-    h = grid.dt / nsub
+    h = dt / nsub
     solve = _implicit_solver(grid.boundary, grid.nx, grid.dx, h, grid.theta)
     t = state.time
     for _ in range(nsub):
@@ -169,7 +195,7 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None) -> GridFi
         t += h
         if not np.all(np.isfinite(values)):
             raise SolverBlowupError(f"solver blow-up at t={t}")
-    return GridField(values, state.time + grid.dt)
+    return GridField(values, state.time + dt)
 
 
 def solve_ivp(
@@ -194,7 +220,7 @@ def solve_ivp(
     for target in times:
         while state.time < target - eps:
             dt = min(grid.dt, target - state.time)
-            state = step(state, replace(grid, dt=dt), bc)
+            state = step(state, grid, bc, dt)
         out.append(state)
     return out
 

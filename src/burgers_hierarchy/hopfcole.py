@@ -62,7 +62,7 @@ class SingularSystemError(ValueError):
 
 
 class CertificationError(ValueError):
-    """A residual does not reduce to 0, or too few guard-safe sample points."""
+    """A residual does not reduce to 0."""
 
 
 NumericAtomMap = dict[Atom, Callable[[float, float], float]]
@@ -373,17 +373,20 @@ def sample_points(
     seed: int = 20250
 ) -> list[tuple[float, float]]:
     """Deterministic samples inside (t_min, t_max, x_min, x_max) that
-    respect the singularity guard."""
-    rng = random.Random(seed)
+    respect the singularity guard.  A reversed box, or one with fewer
+    than n guard-safe points in 200*n draws, raises ``ValueError``; a
+    degenerate box (t_min == t_max, say) is valid."""
     t_min, t_max, x_min, x_max = box
+    if t_min > t_max or x_min > x_max:
+        raise ValueError(f"sample box {box} is reversed: need t_min <= t_max "
+                         "and x_min <= x_max")
+    rng = random.Random(seed)
     points = []
     attempts = 0
     while len(points) < n:
         attempts += 1
         if attempts > 200 * n:
-            raise CertificationError(
-                f"could not find {n} guard-safe sample points in {box}"
-            )
+            raise ValueError(f"could not find {n} guard-safe sample points in {box}")
         t = rng.uniform(t_min, t_max)
         x = rng.uniform(x_min, x_max)
         if sol.guard_ok(t, x):

@@ -115,6 +115,17 @@ class TestExact:
                      "--out-dir", str(tmp_path)]) == 4
         assert not (tmp_path / "exact_m2.csv").exists()
 
+    @pytest.mark.parametrize("box_args", [
+        ["--box", "1", "0", "5", "4"],  # reversed: t_min > t_max, x_min > x_max
+        ["--box", "0.5", "0.5", "1", "1", "--points", "3"],  # every point has 2t = x^2
+    ])
+    def test_bad_box_is_config_error(self, tmp_path, catalog, box_args, capsys):
+        path = catalog(CATALOG_M2)
+        assert main(["exact", "--m", "2", "--catalog", path, *box_args,
+                     "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.glob("exact_m2.*"))
+
     def test_singular_catalog_exit_code(self, tmp_path, catalog, capsys):
         path = catalog(CATALOG_SINGULAR)
         assert main(["exact", "--m", "2", "--catalog", path,

@@ -1,10 +1,12 @@
 """Solver fixed points, discrete consistency, validation against exact
 solutions, snapshots, and failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from burgers_hierarchy import fdsolve
 from burgers_hierarchy.fdsolve import (
@@ -18,6 +20,7 @@ from burgers_hierarchy.fdsolve import (
     error_norms,
     field_from_exact,
     make_boundary,
+    solve_banded,
     solve_ivp,
     step,
 )
@@ -222,6 +225,59 @@ class TestDenseOracle:
                 ref = dense_substep(states[k].values, states[k].time, grid.dt, grid, bc)
                 states[k] = step(states[k], grid, bc)
                 assert_close_to_oracle(states[k].values, ref)
+
+
+class TestBandedSolve:
+    """The direct gtsv call against the scipy wrapper it replaces."""
+
+    @staticmethod
+    def system(nx, k):
+        rng = np.random.default_rng(nx + k)
+        ab = rng.uniform(-1.0, 1.0, (3, nx))
+        ab[1] += 3.0  # diagonally dominant, so nonsingular
+        ab.setflags(write=False)
+        # the transpose of a C-ordered (k, nx) array, as _substep passes it
+        rhs = rng.standard_normal((k, nx)).T
+        return ab, rhs
+
+    @pytest.mark.parametrize("nx", [8, 100, 400, 1600])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_scipy(self, nx, k):
+        ab, rhs = self.system(nx, k)
+        before = rhs.copy()
+        ref = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        assert np.array_equal(solve_banded(ab, rhs), ref)
+        assert np.array_equal(rhs, before)
+
+    def test_nan_propagates(self):
+        ab, rhs = self.system(100, 2)
+        rhs = rhs.copy()
+        rhs[40, 1] = np.nan
+        out = solve_banded(ab, rhs)
+        assert np.isnan(out[:, 1]).any()
+        assert np.all(np.isfinite(out[:, 0]))
+
+    def test_singular_raises(self):
+        ab = np.zeros((3, 8))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded(ab, np.ones(8))
+
+
+class TestStepDt:
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_dt_argument_matches_shortened_grid(self, boundary):
+        grid, vals, bc = TestDenseOracle.case(boundary)
+        state = GridField(vals, 0.2)
+        h = 0.3 * grid.dt
+        out = step(state, grid, bc, dt=h)
+        ref = step(state, dataclasses.replace(grid, dt=h), bc)
+        assert np.array_equal(out.values, ref.values)
+        assert out.time == ref.time
+
+    def test_nonpositive_dt_rejected(self):
+        grid, vals, bc = TestDenseOracle.case("dirichlet")
+        with pytest.raises(ValueError):
+            step(GridField(vals, 0.0), grid, bc, dt=0.0)
 
 
 class TestConvergence:

@@ -151,6 +151,14 @@ class TestCertification:
         worst = max(abs(v) for (t, x) in pts for v in sol.residual_values(t, x))
         assert worst < 1e-10
 
+    def test_sample_box_degenerate_or_reversed(self):
+        sol = rational_pair_solution()
+        pts = sample_points(sol, 5, (0.5, 0.5, 1.5, 3.0))
+        assert len(pts) == 5 and all(t == 0.5 for t, _ in pts)
+        with pytest.raises(ValueError, match="reversed") as exc:
+            sample_points(sol, 5, (1.0, 0.0, 5.0, 4.0))
+        assert not isinstance(exc.value, CertificationError)
+
     def test_gaussian_symbolic(self):
         report = certify(solve_exact(1, [heat_gaussian(1)]))
         assert report.mode == "symbolic" and report.passed
