@@ -239,6 +239,9 @@ def cmd_exact(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    offsets = args.snapshots or []
+    if any(not 0 <= s <= args.t_end for s in offsets):
+        raise ConfigError(f"--snapshots must lie in [0, --t-end={args.t_end}]")
     vs = _load_catalog(args.catalog, args.m)
     sol = hopfcole.solve_exact(args.m, vs)
     boundary = "periodic" if args.periodic else "dirichlet"
@@ -246,8 +249,7 @@ def cmd_solve(args) -> int:
                           boundary=boundary)
     initial = fdsolve.field_from_exact(sol, grid, args.t_start)
     bc = None if args.periodic else fdsolve.make_boundary(sol, grid)
-    snaps = sorted({args.t_start + s for s in (args.snapshots or [])}
-                   | {args.t_start + args.t_end})
+    snaps = sorted({args.t_start + s for s in offsets} | {args.t_start + args.t_end})
     states = fdsolve.solve_ivp(args.m, initial, grid, snaps, bc)
     outdir = _outdir(args)
     xs = grid.xs()
@@ -270,6 +272,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    lo, hi = args.order_window
+    if not lo <= hi:
+        raise ConfigError(f"--order-window needs LO <= HI, got {lo} {hi}")
     vs = _load_catalog(args.catalog, args.m)
     sol = hopfcole.solve_exact(args.m, vs)
     report = fdsolve.convergence_study(
@@ -281,7 +286,6 @@ def cmd_convergence(args) -> int:
                args.no_meta)
     orders = ", ".join(f"{p:.3f}" for p in report.orders_l2)
     print(f"convergence m={args.m}: observed L2 orders [{orders}]")
-    lo, hi = args.order_window
     if report.orders_l2 and not all(lo <= p <= hi for p in report.orders_l2):
         print(f"FAIL: observed order outside [{lo}, {hi}]", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -363,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--snapshots", type=lambda s: [float(v) for v in s.split(",")])
+    p.add_argument("--snapshots", type=lambda s: [float(v) for v in s.split(",")],
+                   help="comma-separated offsets in [0, --t-end] from --t-start")
     p.add_argument("--tol", type=float, help="fail (exit 3) if Linf exceeds this")
     p.add_argument("--periodic", action="store_true",
                    help="periodic grid instead of Dirichlet data from the exact solution")

@@ -1,10 +1,10 @@
 """Finite-difference initial-value solver for the coupled systems.
 
 Semi-implicit scheme on a uniform 1-D grid: the stiff diffusion term is
-treated implicitly (theta-weighted, trapezoidal by default), while the
-advection and coupling terms u_a * u_1,x and u_{a+1},x use second-order
-central differences evaluated at the previous time level.  The implicit
-operator is built once per (nx, dx, substep length, theta).  The periodic
+treated by the trapezoidal rule (Crank-Nicolson), while the advection and
+coupling terms u_a * u_1,x and u_{a+1},x use second-order central
+differences evaluated at the previous time level.  The implicit operator
+is built once per (boundary, nx, dx, substep length h).  The periodic
 operator is also factored once; the Dirichlet operator is tridiagonal and
 LAPACK ``gtsv`` factors it inside each O(nx) solve.  Each substep solves
 all m components in one call.  The advective CFL
@@ -40,6 +40,8 @@ class CFLError(ArithmeticError):
 BoundaryFn = Callable[[float], np.ndarray]  # t -> array (m, 2): left, right values
 
 C_ADV = 0.5  # advective Courant number each substep keeps to
+THETA = 0.5  # implicit weight of the diffusion term (trapezoidal rule)
+MAX_SUBSTEPS = 100_000  # CFL substeps allowed per step before CFLError
 
 
 @dataclass
@@ -52,10 +54,10 @@ class Grid1D:
     dt: float
     t_end: float
     boundary: str = "dirichlet"  # or "periodic"
-    theta: float = 0.5
-    max_substeps: int = 100_000
 
     def __post_init__(self):
+        if not self.x_min < self.x_max:
+            raise ValueError("the domain needs x_min < x_max")
         if self.nx < 8:
             raise ValueError("nx must be at least 8")
         if self.dt <= 0 or self.t_end < 0:
@@ -90,22 +92,13 @@ class GridField:
             raise SolverBlowupError(f"non-finite state at t={self.time}")
 
 
-def _wrapped(u: np.ndarray) -> np.ndarray:
-    """u with its last column prepended and its first appended: the end
-    columns of the stencils below take wrapped neighbours (periodic
-    grids); on Dirichlet grids _substep overwrites them with boundary
-    data."""
-    return np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
-
-
-def _central_dx(u: np.ndarray, dx: float) -> np.ndarray:
-    w = _wrapped(u)
-    return (w[..., 2:] - w[..., :-2]) / (2 * dx)
-
-
-def _apply_diffusion(u: np.ndarray, dx: float) -> np.ndarray:
-    w = _wrapped(u)
-    return (w[..., 2:] - 2 * u + w[..., :-2]) / dx ** 2
+def _stencils(u: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (u_x, u_xx) along the last axis from one padded
+    copy of u.  The end columns take wrapped neighbours (periodic grids);
+    on Dirichlet grids _substep overwrites them with boundary data."""
+    w = np.concatenate((u[..., -1:], u, u[..., :1]), axis=-1)
+    right, left = w[..., 2:], w[..., :-2]
+    return (right - left) / (2 * dx), (right - 2 * u + left) / dx ** 2
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -123,18 +116,18 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
-                     theta: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Solver for (I - theta*h*L) y = rhs with an (nx, k) right-hand side.
+def _implicit_solver(boundary: str, nx: int, dx: float,
+                     h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Solver for (I - THETA*h*L) y = rhs with an (nx, k) right-hand side.
 
-    The operator is built once per (boundary, nx, dx, h, theta).  Dirichlet
+    The operator is built once per (boundary, nx, dx, h).  Dirichlet
     rows are identity rows (the boundary data sits in the right-hand
     side), and :func:`solve_banded` factors the tridiagonal matrix inside
     each O(nx) call.  Periodic boundaries add the wraparound corners, and
     the sparse matrix is factored once.  Non-finite input is not checked
     here: it propagates to the result, where the caller's blow-up check
     catches it."""
-    r = theta * h / dx ** 2
+    r = THETA * h / dx ** 2
     if boundary == "periodic":
         mat = diags([-r, -r, 1 + 2 * r, -r, -r], [1 - nx, -1, 0, 1, nx - 1],
                     shape=(nx, nx), format="csc")
@@ -154,11 +147,10 @@ def _implicit_solver(boundary: str, nx: int, dx: float, h: float,
 
 def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
              bc: BoundaryFn | None, solve) -> np.ndarray:
-    dx = grid.dx
-    ux = _central_dx(values, dx)
+    ux, uxx = _stencils(values, grid.dx)
     adv = values * ux[0]
     adv[:-1] += ux[1:]
-    rhs = values + h * ((1 - grid.theta) * _apply_diffusion(values, dx) - adv)
+    rhs = values + h * ((1 - THETA) * uxx - adv)
     if grid.boundary == "dirichlet":
         rhs[:, [0, -1]] = bc(t + h)
     return solve(rhs.T).T
@@ -183,12 +175,12 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
         raise SolverBlowupError(f"non-finite state at t={state.time}")
     dt_max = C_ADV * grid.dx / max(umax, 1e-12)
     nsub = max(1, math.ceil(dt / dt_max))
-    if nsub > grid.max_substeps:
+    if nsub > MAX_SUBSTEPS:
         raise CFLError(
-            f"advective CFL needs {nsub} substeps per dt (> {grid.max_substeps})"
+            f"advective CFL needs {nsub} substeps per dt (> {MAX_SUBSTEPS})"
         )
     h = dt / nsub
-    solve = _implicit_solver(grid.boundary, grid.nx, grid.dx, h, grid.theta)
+    solve = _implicit_solver(grid.boundary, grid.nx, grid.dx, h)
     t = state.time
     for _ in range(nsub):
         values = _substep(values, t, h, grid, bc, solve)
@@ -206,14 +198,16 @@ def solve_ivp(
     bc: BoundaryFn | None = None,
 ) -> list[GridField]:
     """Iterated stepping with snapshots hit exactly by shortening the
-    final substep before each requested time."""
+    final step before each requested time.  Snapshot times are absolute;
+    the last one ends the run.  Without snapshots the run ends at
+    grid.t_end."""
     if initial.m != m:
         raise ValueError(f"initial data has {initial.m} components, expected {m}")
+    times = sorted(set(snapshot_times or [])) or [grid.t_end]
+    if times[0] < initial.time:
+        raise ValueError(f"snapshot t={times[0]} precedes the initial t={initial.time}")
     # each step checks its output, so the input is checked once, here
     initial.check_finite()
-    times = sorted(set(snapshot_times or [])) or [grid.t_end]
-    if times[-1] < grid.t_end:
-        times.append(grid.t_end)
     state = initial
     out = []
     eps = 1e-12
@@ -299,24 +293,22 @@ def convergence_study(
     error ratios."""
     if len(nx_list) < 3:
         raise ValueError("a convergence ladder needs at least 3 levels")
+    if len(set(nx_list)) != len(nx_list):
+        raise ValueError(f"a convergence ladder needs distinct nx, got {list(nx_list)}")
+    dxs = [(x_max - x_min) / (nx - 1) for nx in nx_list]
     entries = []
-    for nx in nx_list:
-        dx = (x_max - x_min) / (nx - 1)
+    for nx, dx in zip(nx_list, dxs):
         dt = dt_scale * dx ** 2
         grid = Grid1D(x_min, x_max, nx, dt, t_end)
         initial = field_from_exact(exact, grid, t_start)
         final = solve_ivp(m, initial, grid, [t_start + t_end], make_boundary(exact, grid))[-1]
         target = field_from_exact(exact, grid, t_start + t_end)
-        l2, linf = error_norms(final, target, grid.dx)
+        l2, linf = error_norms(final, target, dx)
         entries.append(ConvergenceEntry(nx, dt, l2, linf))
 
     def orders(values):
-        out = []
-        for a, b, na, nb in zip(values, values[1:], nx_list, nx_list[1:]):
-            dxa = (x_max - x_min) / (na - 1)
-            dxb = (x_max - x_min) / (nb - 1)
-            out.append(math.log(a / b) / math.log(dxa / dxb))
-        return out
+        return [math.log(a / b) / math.log(dxa / dxb)
+                for a, b, dxa, dxb in zip(values, values[1:], dxs, dxs[1:])]
 
     l2s = [e.l2 for e in entries]
     linfs = [e.linf for e in entries]

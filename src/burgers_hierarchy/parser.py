@@ -4,13 +4,14 @@ Grammar (EBNF)::
 
     expr     = term , { ("+" | "-") , term } ;
     term     = factor , { ("*" | "/") , factor } ;
-    factor   = [ "-" | "+" ] , power ;
+    factor   = ( "-" | "+" ) , factor | power ;
     power    = primary , [ ("^" | "**") , natural ] ;
-    primary  = rational | jet | call | name | "(" , expr , ")" ;
+    primary  = natural | jet | call | name | "(" , expr , ")" ;
     jet      = "u" , "[" , natural , "," , natural , "]" , { "_t" | "_x" } ;
-    call     = name , "(" , args , ")" ;
-    rational = natural ;
+    call     = "pd" , "(" , name , { "," , natural } , ")"
+             | name , "(" , expr , { "," , expr } , ")" ;
     name     = letter , { letter | digit } ;
+    natural  = digit , { digit } ;
 
 Semantics:
 

@@ -861,14 +861,6 @@ def _single_atom(e: Expr) -> Atom:
     raise ValueError(f"{e} is not a single atom")
 
 
-def substitute(e: Expr, rules) -> Expr:
-    """Apply ``rules`` (a :class:`SubstitutionMap` or anything its
-    constructor accepts) to ``e``."""
-    if not isinstance(rules, SubstitutionMap):
-        rules = SubstitutionMap(rules)
-    return rules.apply(e)
-
-
 # ---------------------------------------------------------------------------
 # coefficient collection
 
@@ -1023,7 +1015,3 @@ def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
             val *= atom_value(a) ** k
         total += val
     return total
-
-
-def point_env(t: float, x: float) -> dict[Atom, float]:
-    return {T_ATOM: t, X_ATOM: x}

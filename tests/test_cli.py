@@ -200,6 +200,52 @@ class TestSolveAndConvergence:
         doc = json.loads((tmp_path / "convergence_m1.json").read_text())
         assert all(1.8 <= p <= 2.2 for p in doc["orders_L2"])
 
+    @pytest.mark.parametrize("command", ["solve", "convergence"])
+    def test_reversed_domain_is_config_error(self, tmp_path, catalog, command):
+        out = tmp_path / "out"
+        assert main([command, "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "4", "--x-max", "2", "--t-end", "0.01",
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
+    def test_solve_negative_t_start(self, tmp_path, catalog):
+        # the run ends at t_start + t_end = 0.005, in one snapshot
+        assert main(["solve", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--nx", "32", "--dt", "1e-3",
+                     "--t-start=-0.005", "--t-end", "0.01",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("solve_m2_snap*.csv")) == ["solve_m2_snap0.csv"]
+        rows = (tmp_path / "solve_m2_snap0.csv").read_text().splitlines()[1:]
+        assert all(float(r.split(",")[0]) == pytest.approx(0.005) for r in rows)
+        errors = json.loads((tmp_path / "solve_m2_errors.json").read_text())["errors"]
+        assert [e["t"] for e in errors] == [pytest.approx(0.005)]
+
+    def test_convergence_negative_t_start(self, tmp_path, catalog):
+        assert main(["convergence", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--ladder", "32,64,128", "--x-min", "2", "--x-max", "4",
+                     "--t-start=-0.01", "--t-end", "0.02",
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "convergence_m2.json").read_text())
+        assert all(1.8 <= p <= 2.2 for p in doc["orders_L2"])
+
+    @pytest.mark.parametrize("snapshots", ["-0.005", "0.005,0.02"])
+    def test_snapshot_outside_run_is_config_error(self, tmp_path, catalog, snapshots):
+        out = tmp_path / "out"
+        assert main(["solve", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--nx", "32", "--dt", "1e-3",
+                     "--t-end", "0.01", f"--snapshots={snapshots}",
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [["--order-window", "2.2", "1.8"],
+                                     ["--ladder", "32,32,64"]])
+    def test_bad_convergence_setting_is_config_error(self, tmp_path, catalog, bad):
+        out = tmp_path / "out"
+        assert main(["convergence", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--t-end", "0.02", *bad,
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
+
 
 class TestReport:
     def test_summary(self, tmp_path, capsys):

@@ -14,8 +14,7 @@ from burgers_hierarchy.fdsolve import (
     Grid1D,
     GridField,
     SolverBlowupError,
-    _apply_diffusion,
-    _central_dx,
+    _stencils,
     convergence_study,
     error_norms,
     field_from_exact,
@@ -45,10 +44,11 @@ def rational_pair():
 
 
 def dense_substep(values, t, h, grid, bc=None):
-    """One theta-scheme substep from dense difference matrices and
-    np.linalg.solve, one component at a time (reference for `step`)."""
+    """One trapezoidal (Crank-Nicolson) substep from dense difference
+    matrices and np.linalg.solve, one component at a time (reference for
+    `step`)."""
     m, nx = values.shape
-    dx, theta = grid.dx, grid.theta
+    dx = grid.dx
     d1 = np.zeros((nx, nx))
     d2 = np.zeros((nx, nx))
     for i in range(nx):
@@ -63,12 +63,12 @@ def dense_substep(values, t, h, grid, bc=None):
         d2[i, hi] += 1 / dx ** 2
         d2[i, lo] += 1 / dx ** 2
         d2[i, i] -= 2 / dx ** 2
-    lhs = np.eye(nx) - theta * h * d2
+    lhs = np.eye(nx) - 0.5 * h * d2
     u1x = d1 @ values[0]
     new = np.empty_like(values)
     for a in range(m):
         coupling = d1 @ values[a + 1] if a + 1 < m else 0.0
-        rhs = values[a] + h * ((1 - theta) * (d2 @ values[a])
+        rhs = values[a] + h * ((1 - 0.5) * (d2 @ values[a])
                                - values[a] * u1x - coupling)
         if bc is not None:
             rhs[0], rhs[-1] = bc(t + h)[a]
@@ -118,8 +118,7 @@ class TestDiscreteConsistency:
             xs = np.linspace(0.0, 1.0, nx)
             dx = xs[1] - xs[0]
             u = np.sin(2 * np.pi * xs)
-            d1 = _central_dx(u, dx)[1:-1]
-            d2 = _apply_diffusion(u, dx)[1:-1]
+            d1, d2 = (d[1:-1] for d in _stencils(u, dx))
             e1 = np.max(np.abs(d1 - 2 * np.pi * np.cos(2 * np.pi * xs)[1:-1]))
             e2 = np.max(np.abs(d2 + (2 * np.pi) ** 2 * np.sin(2 * np.pi * xs)[1:-1]))
             errors.append(max(e1, e2))
@@ -131,8 +130,9 @@ class TestDiscreteConsistency:
         u = np.random.default_rng(5).standard_normal((3, 37))
         dx = 0.173
         right, left = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
-        assert np.array_equal(_central_dx(u, dx), (right - left) / (2 * dx))
-        assert np.array_equal(_apply_diffusion(u, dx), (right - 2 * u + left) / dx ** 2)
+        ux, uxx = _stencils(u, dx)
+        assert np.array_equal(ux, (right - left) / (2 * dx))
+        assert np.array_equal(uxx, (right - 2 * u + left) / dx ** 2)
 
     def test_interpolation_only_when_no_steps(self):
         sol = traveling_wave()
@@ -178,6 +178,11 @@ class TestValidation:
                            [0.005, 0.01])
         assert all(np.allclose(s.values, 0.0) for s in states)
 
+    def test_snapshot_before_initial_time_rejected(self):
+        grid = Grid1D(0.0, 1.0, 16, 1e-3, 0.01, boundary="periodic")
+        with pytest.raises(ValueError):
+            solve_ivp(1, GridField(np.zeros((1, 16)), 0.0), grid, [-0.005, 0.01])
+
     def test_snapshot_times_hit_exactly(self):
         sol = traveling_wave()
         grid = Grid1D(-5.0, 5.0, 32, 7e-3, 0.02)  # dt does not divide targets
@@ -190,16 +195,15 @@ class TestDenseOracle:
     """Three components, one CFL substep per step (max|u1| <= 0.5)."""
 
     @staticmethod
-    def case(boundary, x_max=1.0, theta=0.5):
-        grid = Grid1D(0.0, x_max, 12, 1e-2, 0.1, boundary=boundary, theta=theta)
+    def case(boundary, x_max=1.0):
+        grid = Grid1D(0.0, x_max, 12, 1e-2, 0.1, boundary=boundary)
         vals = np.random.default_rng(7).uniform(-0.5, 0.5, (3, 12))
         bc = moving_boundary(3) if boundary == "dirichlet" else None
         return grid, vals, bc
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_one_step(self, boundary, theta):
-        grid, vals, bc = self.case(boundary, theta=theta)
+    def test_one_step(self, boundary):
+        grid, vals, bc = self.case(boundary)
         out = step(GridField(vals, 0.2), grid, bc)
         assert_close_to_oracle(out.values, dense_substep(vals, 0.2, grid.dt, grid, bc))
 
@@ -345,9 +349,10 @@ class TestFailureModes:
                          "--out-dir", str(tmp_path)]) == 3
 
     def test_cfl_substep_limit(self):
-        grid = Grid1D(0.0, 1.0, 16, dt=10.0, t_end=10.0, boundary="periodic",
-                      max_substeps=4)
-        vals = np.vstack([np.full(16, 100.0)])
+        # C_ADV * dx / |u_1| = 1/3e5, so dt = 10 needs about 3e6 substeps,
+        # past MAX_SUBSTEPS; the step raises before any substep runs
+        grid = Grid1D(0.0, 1.0, 16, dt=10.0, t_end=10.0, boundary="periodic")
+        vals = np.vstack([np.full(16, 1e4)])
         with pytest.raises(CFLError):
             step(GridField(vals, 0.0), grid)
 
@@ -370,6 +375,10 @@ class TestFailureModes:
             Grid1D(0.0, 1.0, 16, -1e-3, 0.01)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 16, 1e-3, 0.01, boundary="mirror")
+        with pytest.raises(ValueError):
+            Grid1D(4.0, 2.0, 16, 1e-3, 0.01)  # reversed domain
+        with pytest.raises(ValueError):
+            Grid1D(2.0, 2.0, 16, 1e-3, 0.01)  # empty domain
 
 
 class TestPeriodic:

@@ -1,9 +1,12 @@
 """Grammar coverage and parse/render round trips."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from burgers_hierarchy import parser
 from burgers_hierarchy.parser import ParseError, UnknownSymbolError, parse_expr
 from burgers_hierarchy.symcore import (
     JetCoord,
@@ -42,6 +45,7 @@ def test_precedence_and_unary():
     assert parse_expr("2*u[1,1]+3*x") == 2 * jet(1, 1) + 3 * parse_expr("x")
     assert parse_expr("1/2*u[1,1]") == jet(1, 1) / 2
     assert parse_expr("u[1,1]**3") == jet(1, 1) ** 3
+    assert parse_expr("-+-u[1,1]") == jet(1, 1)  # factor = ("-" | "+"), factor
 
 
 def test_functions_and_d():
@@ -86,3 +90,23 @@ def test_round_trip_random():
     for _ in range(60):
         e = random_kernel_expr(rng)
         assert parse_expr(str(e), SYMS) == e
+
+
+def _ebnf_rules(block: str) -> list[str]:
+    """Rules of an EBNF block, one string per rule, whitespace collapsed."""
+    return [" ".join(r.split()) + " ;" for r in block.split(";") if r.strip()]
+
+
+def test_readme_grammar_is_the_parser_grammar():
+    doc = parser.__doc__.split("Grammar (EBNF)::", 1)[1].split("Semantics:", 1)[0]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Expression grammar", 1)[1]
+    block = section.split("```\n", 2)[1]
+    rules = _ebnf_rules(doc)
+    assert rules == _ebnf_rules(block)
+    # every rule used is defined, and every rule defined is used
+    defined = [r.split(" = ", 1)[0] for r in rules]
+    used = {name for r in rules
+            for name in re.findall(r"\b[a-z]+\b", re.sub(r'"[^"]*"', "", r.split(" = ", 1)[1]))}
+    assert used - set(defined) == {"letter", "digit"}
+    assert set(defined) <= used
