@@ -295,6 +295,8 @@ def convergence_study(
         raise ValueError("a convergence ladder needs at least 3 levels")
     if len(set(nx_list)) != len(nx_list):
         raise ValueError(f"a convergence ladder needs distinct nx, got {list(nx_list)}")
+    if not t_end > 0:
+        raise ValueError(f"a convergence study needs t_end > 0, got {t_end}")
     dxs = [(x_max - x_min) / (nx - 1) for nx in nx_list]
     entries = []
     for nx, dx in zip(nx_list, dxs):

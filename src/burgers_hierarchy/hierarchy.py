@@ -1,6 +1,6 @@
 """Coupled Burgers-like systems and their companion-matrix form.
 
-For m components at tier k = ceil(m/2), the system has residuals
+For m components at tier k = tier_of(m) = ceil(m/2), the system has residuals
 
     u_a,t + u_a * u_1,x - u_a,xx + u_{a+1},x     (a = 1..m)
 
@@ -27,7 +27,6 @@ from .symcore import (
     ZERO,
     jet,
     partial_derivative,
-    relabel_tiers,
     total_derivative,
 )
 
@@ -41,14 +40,15 @@ def _check_m(m: int):
         raise ValueError(f"m must be a positive integer, got {m!r}")
 
 
-def components(m: int, tier: int) -> Callable[..., Expr]:
-    """u(a, nt=0, nx=0) over the m components of family ``tier``: the jet
-    coordinate for 1 <= a <= m, -1 for the undifferentiated u_0, and 0
+def components(m: int) -> Callable[..., Expr]:
+    """u(a, nt=0, nx=0) over the m components at tier ``tier_of(m)``: the
+    jet coordinate for 1 <= a <= m, -1 for the undifferentiated u_0, and 0
     for every other index."""
+    k = tier_of(m)
 
     def u(a: int, nt: int = 0, nx: int = 0) -> Expr:
         if 1 <= a <= m:
-            return jet(tier, a, nt, nx)
+            return jet(k, a, nt, nx)
         return -ONE if (a, nt, nx) == (0, 0, 0) else ZERO
 
     return u
@@ -56,20 +56,16 @@ def components(m: int, tier: int) -> Callable[..., Expr]:
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """Ordered residuals of the m-component system, each solved for the
-    time derivative of its own component."""
+    """Ordered residuals of the m-component system at tier ``tier_of(m)``,
+    each solved for the time derivative of its own component."""
 
     m: int
-    tier: int
     residuals: tuple[Expr, ...]
-    solved_for: tuple[JetCoord, ...]
 
     def __post_init__(self):
-        if len(self.residuals) != self.m or len(self.solved_for) != self.m:
-            raise ValueError("need one residual and one solved coordinate per component")
+        if len(self.residuals) != self.m:
+            raise ValueError("need one residual per component")
         for a, (res, lead) in enumerate(zip(self.residuals, self.solved_for), start=1):
-            if lead != JetCoord(self.tier, a, nt=1):
-                raise ValueError(f"equation {a} must be solved for its own time derivative")
             if partial_derivative(res, lead) != ONE:
                 raise ValueError(f"equation {a}: coefficient of {lead.render()} is not 1")
             for atom in res.atoms():
@@ -79,6 +75,15 @@ class PdeSystem:
             has_forcing = not partial_derivative(res, forcing).is_zero()
             if has_forcing != (a < self.m):
                 raise ValueError(f"equation {a}: forcing term {forcing.render()} mismatch")
+
+    @property
+    def tier(self) -> int:
+        return tier_of(self.m)
+
+    @property
+    def solved_for(self) -> tuple[JetCoord, ...]:
+        k = self.tier
+        return tuple(JetCoord(k, a, nt=1) for a in range(1, self.m + 1))
 
     def solved_rules(self) -> SubstitutionMap:
         """Rewrite each u_a,t as the rest of its equation, negated."""
@@ -96,25 +101,23 @@ class PdeSystem:
         }
 
 
-def build_delta(m: int, tier: int | None = None) -> PdeSystem:
-    """The m-component system at tier ``tier`` (default ceil(m/2))."""
+def build_delta(m: int) -> PdeSystem:
+    """The m-component system at tier ``tier_of(m)``."""
     _check_m(m)
-    k = tier_of(m) if tier is None else tier
-    u = components(m, k)
+    u = components(m)
     residuals = tuple(u(a, nt=1) + u(a) * u(1, nx=1) - u(a, nx=2) + u(a + 1, nx=1)
                       for a in range(1, m + 1))
-    solved = tuple(JetCoord(k, a, nt=1) for a in range(1, m + 1))
-    return PdeSystem(m, k, residuals, solved)
+    return PdeSystem(m, residuals)
 
 
 def build_companion(m: int) -> list[list[Expr]]:
     """m x m matrix with superdiagonal ones and last row (u_m, ..., u_1)."""
     _check_m(m)
-    k = tier_of(m)
+    u = components(m)
     rows = []
     for i in range(m - 1):
         rows.append([ONE if j == i + 1 else ZERO for j in range(m)])
-    rows.append([jet(k, m - j) for j in range(m)])
+    rows.append([u(m - j) for j in range(m)])
     return rows
 
 
@@ -149,10 +152,9 @@ def companion_row_permutation(m: int) -> list[int]:
 @dataclass(frozen=True)
 class VectorField:
     """Infinitesimal generator tau*d/dt + xi*d/dx + sum eta_a*d/du_a over
-    the m dependent variables of family ``tier``."""
+    the m dependent variables at tier ``tier_of(m)``."""
 
     m: int
-    tier: int
     tau: Expr
     xi: Expr
     etas: tuple[Expr, ...]
@@ -162,14 +164,19 @@ class VectorField:
         if len(self.etas) != self.m:
             raise ValueError("need one eta per dependent variable")
 
+    @property
+    def tier(self) -> int:
+        return tier_of(self.m)
+
     def apply_to(self, e: Expr) -> Expr:
         """First-order action on functions of (t, x, u_1..u_m)."""
         from .symcore import T_ATOM, X_ATOM
 
+        k = self.tier
         out = self.tau * partial_derivative(e, T_ATOM)
         out = out + self.xi * partial_derivative(e, X_ATOM)
         for a, eta in enumerate(self.etas, start=1):
-            out = out + eta * partial_derivative(e, JetCoord(self.tier, a))
+            out = out + eta * partial_derivative(e, JetCoord(k, a))
         return out
 
     def to_json_dict(self) -> dict:
@@ -194,8 +201,7 @@ def build_symmetry_field(m: int) -> VectorField:
     :func:`components`.
     """
     _check_m(m)
-    k = tier_of(m)
-    u, w = components(m, k), components(m + 2, k + 1)
+    u, w = components(m), components(m + 2)
     xi = (w(1) - u(1)) / 2
     etas = tuple(
         (-u(1) ** 2 * u(a) - u(1) * u(a + 1) - u(2) * u(a)
@@ -203,7 +209,7 @@ def build_symmetry_field(m: int) -> VectorField:
          - u(a + 2) + w(a + 2)) / 4
         for a in range(1, m + 1)
     )
-    return VectorField(m, k, ONE, xi, etas, name=f"conditional-{m}")
+    return VectorField(m, ONE, xi, etas, name=f"conditional-{m}")
 
 
 def degenerate_direction_rules(m: int) -> SubstitutionMap:
@@ -211,16 +217,5 @@ def degenerate_direction_rules(m: int) -> SubstitutionMap:
     w_{m+1} and w_{m+2} become 0); under these rules the symmetry field
     vanishes."""
     k = tier_of(m)
-    u = components(m, k)
+    u = components(m)
     return SubstitutionMap((JetCoord(k + 1, a), u(a)) for a in range(1, m + 3))
-
-
-def retier_system(system: PdeSystem, new_tier: int) -> PdeSystem:
-    """Structural copy of the system with its jet tier relabeled."""
-    mapping = {system.tier: new_tier}
-    return PdeSystem(
-        system.m,
-        new_tier,
-        tuple(relabel_tiers(r, mapping) for r in system.residuals),
-        tuple(JetCoord(new_tier, c.alpha, c.nt, c.nx) for c in system.solved_for),
-    )

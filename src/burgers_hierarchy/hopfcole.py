@@ -180,10 +180,14 @@ def _as_rat(v) -> Fraction:
 
 def catalog_from_json(doc: list) -> list[HeatSolution]:
     """Build heat solutions from a list of {"kind": ..., ...} records."""
+    if not isinstance(doc, list):
+        raise ValueError(f"a catalog is a list of records, got {type(doc).__name__}")
     return [_entry_from_json(rec) for rec in doc]
 
 
 def _entry_from_json(rec: dict) -> HeatSolution:
+    if not isinstance(rec, dict):
+        raise ValueError(f"a catalog record is an object, got {rec!r}")
     kind = rec.get("kind")
     if kind == "constant":
         return heat_constant(rec["value"])

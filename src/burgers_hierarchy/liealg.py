@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .hierarchy import VectorField, components, tier_of
+from .hierarchy import VectorField, components
 from .linalg import rref
 from .symcore import ONE, T, X, ZERO, coefficient_rows, rational
 
@@ -29,31 +29,29 @@ def generators(m: int) -> list[VectorField]:
     through :func:`~burgers_hierarchy.hierarchy.components` (u_0 = -1)."""
     if m < 1:
         raise ValueError("m must be positive")
-    k = tier_of(m)
-    u = components(m, k)
+    u = components(m)
     zeros = (ZERO,) * m
-    xi1 = VectorField(m, k, ONE, ZERO, zeros, name="Xi1")
-    xi2 = VectorField(m, k, ZERO, ONE, zeros, name="Xi2")
+    xi1 = VectorField(m, ONE, ZERO, zeros, name="Xi1")
+    xi2 = VectorField(m, ZERO, ONE, zeros, name="Xi2")
     etas3 = tuple(-rational(a) * u(a) for a in range(1, m + 1))
-    xi3 = VectorField(m, k, 2 * T, X, etas3, name="Xi3")
+    xi3 = VectorField(m, 2 * T, X, etas3, name="Xi3")
     etas4 = tuple(rational(a - m - 1) * u(a - 1) for a in range(1, m + 1))
-    xi4 = VectorField(m, k, ZERO, T, etas4, name="Xi4")
+    xi4 = VectorField(m, ZERO, T, etas4, name="Xi4")
     etas5 = tuple(
         -(rational(a) * T * u(a)
           + rational(m - a + 1) * (X * u(a - 1) - rational(m - a + 2) * u(a - 2)))
         for a in range(1, m + 1)
     )
-    xi5 = VectorField(m, k, T ** 2, T * X, etas5, name="Xi5")
+    xi5 = VectorField(m, T ** 2, T * X, etas5, name="Xi5")
     return [xi1, xi2, xi3, xi4, xi5]
 
 
 def commutator(a: VectorField, b: VectorField) -> VectorField:
     """Lie bracket [a, b], coefficientwise a(b_i) - b(a_i)."""
-    if (a.m, a.tier) != (b.m, b.tier):
+    if a.m != b.m:
         raise ValueError("commutator requires fields over the same variable set")
     return VectorField(
         a.m,
-        a.tier,
         a.apply_to(b.tau) - b.apply_to(a.tau),
         a.apply_to(b.xi) - b.apply_to(a.xi),
         tuple(a.apply_to(eb) - b.apply_to(ea) for ea, eb in zip(a.etas, b.etas)),

@@ -75,15 +75,16 @@ class ProlongedField:
         """Action of the prolonged field on an expression in jet
         coordinates of order <= 2 of the base field's family."""
         f = self.base
+        k = f.tier
         out = f.tau * partial_derivative(e, T_ATOM) + f.xi * partial_derivative(e, X_ATOM)
         for a in range(1, f.m + 1):
             for coeff, coord in (
-                (f.etas[a - 1], JetCoord(f.tier, a)),
-                (self.eta_t[a - 1], JetCoord(f.tier, a, nt=1)),
-                (self.eta_x[a - 1], JetCoord(f.tier, a, nx=1)),
-                (self.eta_tt[a - 1], JetCoord(f.tier, a, nt=2)),
-                (self.eta_tx[a - 1], JetCoord(f.tier, a, nt=1, nx=1)),
-                (self.eta_xx[a - 1], JetCoord(f.tier, a, nx=2)),
+                (f.etas[a - 1], JetCoord(k, a)),
+                (self.eta_t[a - 1], JetCoord(k, a, nt=1)),
+                (self.eta_x[a - 1], JetCoord(k, a, nx=1)),
+                (self.eta_tt[a - 1], JetCoord(k, a, nt=2)),
+                (self.eta_tx[a - 1], JetCoord(k, a, nt=1, nx=1)),
+                (self.eta_xx[a - 1], JetCoord(k, a, nx=2)),
             ):
                 d = partial_derivative(e, coord)
                 if not d.is_zero():
@@ -141,19 +142,17 @@ class ManifoldRules:
     surface conditions) eliminates u_a,xx and u_a,xxx.  After
     application only u_a and u_a,x of the system's family survive."""
 
-    m: int
-    tier: int
     rules: SubstitutionMap
 
     def apply(self, e: Expr) -> Expr:
         return self.rules.apply(e)
 
 
-def manifold_rules(m: int, field: VectorField) -> ManifoldRules:
+def manifold_rules(field: VectorField) -> ManifoldRules:
     if field.tau != ONE:
         raise ValueError("surface-condition rules require the normalized form tau = 1")
-    k = field.tier
-    u = components(m, k)
+    m, k = field.m, field.tier
+    u = components(m)
     rules: dict[JetCoord, Expr] = {}
     for a in range(1, m + 1):
         q_rhs = field.etas[a - 1] - field.xi * u(a, nx=1)
@@ -167,7 +166,7 @@ def manifold_rules(m: int, field: VectorField) -> ManifoldRules:
         rules[JetCoord(k, a, 1, 1)] = _dx(q_rhs)
         rules[JetCoord(k, a, 2, 0)] = _dt(q_rhs)
         rules[JetCoord(k, a, 0, 3)] = _dx(xx_rhs)
-    return ManifoldRules(m, k, SubstitutionMap(rules))
+    return ManifoldRules(SubstitutionMap(rules))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +183,7 @@ def generic_ansatz(m: int):
     args = (T_ATOM, X_ATOM) + tuple(JetCoord(k, a) for a in range(1, m + 1))
     xi = OpaqueSymbol("xi", args)
     etas = [OpaqueSymbol(f"eta{a}", args) for a in range(1, m + 1)]
-    field = VectorField(m, k, ONE, xi.expr(), tuple(s.expr() for s in etas),
-                        name="generic")
+    field = VectorField(m, ONE, xi.expr(), tuple(s.expr() for s in etas), name="generic")
     return field, {s.name: s for s in [xi, *etas]}
 
 
@@ -195,11 +193,11 @@ def invariance_residuals(system: PdeSystem, field: VectorField) -> list[Expr]:
     return [pf.apply_to(r) for r in system.residuals]
 
 
-def determining_polynomials(m: int, ansatz: VectorField) -> list[Expr]:
+def determining_polynomials(ansatz: VectorField) -> list[Expr]:
     """Invariance residuals restricted to the manifold: polynomials in
     the first-order x-derivatives of the system's variables."""
-    system = build_delta(m, tier=ansatz.tier)
-    rules = manifold_rules(m, ansatz)
+    system = build_delta(ansatz.m)
+    rules = manifold_rules(ansatz)
     return [rules.apply(r) for r in invariance_residuals(system, ansatz)]
 
 
@@ -238,7 +236,7 @@ def verify_theorem(m: int) -> TheoremReport:
     t0 = time.perf_counter()
     k = tier_of(m)
     field = build_symmetry_field(m)
-    restricted = determining_polynomials(m, field)
+    restricted = determining_polynomials(field)
     follow_up = build_delta(m + 2)  # tier of m+2 is k+1 by construction
     assert follow_up.tier == k + 1
 
@@ -413,7 +411,7 @@ def _kappa_ansatz(m: int):
     xi = kappa.expr() * jet(k, 1) + f.expr() / 2
     args = (T_ATOM, X_ATOM) + tuple(JetCoord(k, a) for a in range(1, m + 1))
     etas = tuple(OpaqueSymbol(f"eta{a}", args).expr() for a in range(1, m + 1))
-    field = VectorField(m, k, ONE, xi, etas, name="kappa-ansatz")
+    field = VectorField(m, ONE, xi, etas, name="kappa-ansatz")
     return field, OpaqueDeriv(kappa, ()), [JetCoord(k, a) for a in range(1, m + 1)]
 
 
@@ -428,7 +426,7 @@ def _solve_linear_atom(e: Expr, atom: OpaqueDeriv) -> Expr:
 
 def _kappa_obstructions_multi(m: int) -> list[list[Fraction]]:
     field, kappa_atom, u_atoms = _kappa_ansatz(m)
-    polys = determining_polynomials(m, field)
+    polys = determining_polynomials(field)
     k = field.tier
     ux = [JetCoord(k, a, nx=1) for a in range(1, m + 1)]
 
@@ -473,7 +471,7 @@ def _orders_for(m: int, b: int, c: int) -> tuple[int, ...]:
 
 def _kappa_obstructions_single() -> list[list[Fraction]]:
     field, kappa_atom, (u_atom,) = _kappa_ansatz(1)
-    poly = determining_polynomials(1, field)[0]
+    poly = determining_polynomials(field)[0]
     k = field.tier
     ux = JetCoord(k, 1, nx=1)
     coeffs = collect_coefficients(poly, [ux])
@@ -487,8 +485,8 @@ def _kappa_obstructions_single() -> list[list[Fraction]]:
     eta = _integrate_poly(_integrate_poly(eta_uu, u_atom), u_atom)
     eta = eta + OpaqueSymbol("c0", (T_ATOM, X_ATOM)).expr() * u \
         + OpaqueSymbol("e0", (T_ATOM, X_ATOM)).expr()
-    solved_field = VectorField(1, k, ONE, field.xi, (eta,), name="kappa-solved")
-    poly2 = determining_polynomials(1, solved_field)[0]
+    solved_field = VectorField(1, ONE, field.xi, (eta,), name="kappa-solved")
+    poly2 = determining_polynomials(solved_field)[0]
 
     obstructions = []
     for mono, coeff in collect_coefficients(poly2, [u_atom, ux]).items():

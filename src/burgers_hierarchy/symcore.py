@@ -35,9 +35,7 @@ share between threads; the atom registry only grows, under a lock.
 
 The tier label of a jet coordinate (the superscript used when several
 families of dependent variables coexist) participates in atom identity:
-``u[1,1]`` and ``u[2,1]`` are distinct coordinates.  Cross-tier
-comparisons are done by explicit relabeling (:func:`relabel_tiers`),
-never implicitly.
+``u[1,1]`` and ``u[2,1]`` are distinct coordinates.
 """
 
 from __future__ import annotations
@@ -311,17 +309,6 @@ def _checked(terms: dict) -> dict:
     if over:
         raise _overflow(_field_at((over & -over).bit_length() - 1))
     return terms
-
-
-def _pack(powers: Mapping[int, int]) -> int:
-    """Packed monomial of {atom index: exponent}."""
-    p = 0
-    for i, k in powers.items():
-        v = k << _SHIFT[i]
-        if v & ~_FIELD[i] or v & _GUARD:
-            raise _overflow(i)
-        p += v
-    return p
 
 
 def _grlex_key(*exprs: "Expr") -> Callable[[int], tuple]:
@@ -964,35 +951,7 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# tier relabeling and numeric evaluation
-
-
-def relabel_tiers(e: Expr, mapping: Mapping[int, int]) -> Expr:
-    """Rebuild ``e`` with jet-coordinate tiers renamed via ``mapping``."""
-
-    def relabel_atom(a: Atom) -> Atom:
-        if isinstance(a, JetCoord) and a.tier in mapping:
-            return JetCoord(mapping[a.tier], a.alpha, a.nt, a.nx)
-        if isinstance(a, FuncApp):
-            return FuncApp(a.fname, relabel_tiers(a.arg, mapping))
-        if isinstance(a, OpaqueDeriv):
-            args = tuple(relabel_atom(x) for x in a.symbol.args)
-            if args != a.symbol.args:
-                return OpaqueDeriv(OpaqueSymbol(a.symbol.name, args), a.orders)
-        return a
-
-    new_index: dict[int, int] = {}
-    terms: dict = {}
-    for p, c in e._terms.items():
-        powers: dict[int, int] = {}
-        for i in _fields(p):
-            j = new_index.get(i)
-            if j is None:
-                j = new_index[i] = _intern(relabel_atom(_ATOMS[i]))
-            powers[j] = powers.get(j, 0) + _exponent(p, i)
-        q = _pack(powers)
-        terms[q] = terms.get(q, 0) + c
-    return Expr._make(terms)
+# numeric evaluation
 
 
 def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:

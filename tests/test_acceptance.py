@@ -152,10 +152,10 @@ def test_criterion_2_kappa_constraints():
 
 def test_criterion_3_determining_polynomial_fidelity():
     field1, syms1 = generic_ansatz(1)
-    got1 = determining_polynomials(1, field1)[0]
+    got1 = determining_polynomials(field1)[0]
     want1 = expected_cubic_single(syms1["xi"], syms1["eta1"], jet(1, 1), jet(1, 1, nx=1))
     field2, syms2 = generic_ansatz(2)
-    got2 = determining_polynomials(2, field2)
+    got2 = determining_polynomials(field2)
     want2 = expected_cubic_pair(syms2["xi"], syms2["eta1"], syms2["eta2"],
                                 jet(1, 1), jet(1, 2), jet(1, 1, nx=1), jet(1, 2, nx=1))
     ok = got1 == want1 and got2[0] == want2[0] and got2[1] == want2[1]

@@ -1,10 +1,15 @@
 """Exit-code contract, artifact determinism, and file formats."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from burgers_hierarchy.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFY_REFERENCE = ROOT / "perfbench" / "reference" / "verify.json"
 
 CATALOG_M1 = [
     {"kind": "sum", "terms": [
@@ -95,6 +100,17 @@ class TestVerify:
                      "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "verify_liealg_m3.json").read_text())
         assert doc["identical_to_first"] is True
+
+    @pytest.mark.parametrize("kind", ["theorem", "classical", "liealg", "kappa"])
+    def test_artifacts_match_benchmark_reference(self, tmp_path, kind):
+        # the benchmark's verify-sweep checks the same bytes for m = 1..12
+        reference = json.loads(VERIFY_REFERENCE.read_text())
+        for m in range(1, 5):
+            assert main(["verify", kind, "--m", str(m), "--no-meta",
+                         "--out-dir", str(tmp_path)]) == 0
+            name = f"verify_{kind}_m{m}.json"
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == reference[name], name
 
 
 class TestExact:
@@ -238,13 +254,32 @@ class TestSolveAndConvergence:
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", [["--order-window", "2.2", "1.8"],
-                                     ["--ladder", "32,32,64"]])
+                                     ["--ladder", "32,32,64"],
+                                     ["--t-end", "0"]])
     def test_bad_convergence_setting_is_config_error(self, tmp_path, catalog, bad):
         out = tmp_path / "out"
         assert main(["convergence", "--m", "2", "--catalog", catalog(CATALOG_M2),
                      "--x-min", "2", "--x-max", "4", "--t-end", "0.02", *bad,
                      "--out-dir", str(out)]) == 4
         assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "heat_polynomial", "degree": 1},  # an object, not a list
+    [1],
+    [{"kind": "sum", "terms": [{"coeff": "1", "term": "constant"}]}],
+], ids=["object", "int-entry", "string-term"])
+@pytest.mark.parametrize("command", [
+    ["exact"],
+    ["solve", "--x-min", "2", "--x-max", "4", "--t-end", "0.01"],
+    ["convergence", "--x-min", "2", "--x-max", "4", "--t-end", "0.01"],
+], ids=["exact", "solve", "convergence"])
+def test_malformed_catalog_shape_is_config_error(tmp_path, catalog, command, doc, capsys):
+    out = tmp_path / "out"
+    assert main([*command, "--m", "1", "--catalog", catalog(doc),
+                 "--out-dir", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 class TestReport:
@@ -260,6 +295,12 @@ class TestReport:
         assert main(["report", "--dir", str(tmp_path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verify_kappa_m1.json"] == "ok"
+
+    def test_non_object_json_is_data(self, tmp_path, catalog, capsys):
+        catalog(CATALOG_M2)
+        catalog(3, name="number.json")
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["catalog.json: data", "number.json: data"]
 
     def test_bad_directory(self):
         assert main(["report", "--dir", "/nonexistent-dir-xyz"]) == 4

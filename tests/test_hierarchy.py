@@ -15,11 +15,10 @@ from burgers_hierarchy.hierarchy import (
     components,
     degenerate_direction_rules,
     matrix_burgers_residual,
-    retier_system,
     tier_of,
 )
 from burgers_hierarchy.parser import parse_expr
-from burgers_hierarchy.symcore import JetCoord, ONE, ZERO, jet
+from burgers_hierarchy.symcore import ONE, ZERO, jet
 
 
 def u(k, a, nt=0, nx=0):
@@ -141,7 +140,7 @@ GOLDEN_FIELDS = {
 
 class TestComponents:
     def test_convention(self):
-        u = components(3, 2)
+        u = components(3)
         assert [u(a) for a in (1, 2, 3)] == [jet(2, 1), jet(2, 2), jet(2, 3)]
         assert u(2, nt=1, nx=2) == jet(2, 2, 1, 2)
         assert u(0) == -ONE
@@ -165,14 +164,15 @@ class TestBuildDelta:
 
     def test_invariants_enforced(self):
         good = build_delta(2)
+        # equations out of order: each is solved for the wrong time derivative
         with pytest.raises(ValueError):
-            PdeSystem(2, 1, good.residuals, (JetCoord(1, 2, nt=1), JetCoord(1, 1, nt=1)))
+            PdeSystem(2, (good.residuals[1], good.residuals[0]))
         broken = (good.residuals[0] + jet(1, 2, nt=1), good.residuals[1])
         with pytest.raises(ValueError):
-            PdeSystem(2, 1, broken, good.solved_for)
+            PdeSystem(2, broken)
         # missing forcing term in the first equation
         with pytest.raises(ValueError):
-            PdeSystem(2, 1, (good.residuals[1], good.residuals[1]), good.solved_for)
+            PdeSystem(2, (good.residuals[1], good.residuals[1]))
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -183,11 +183,6 @@ class TestBuildDelta:
         rules = system.solved_rules()
         for r in system.residuals:
             assert rules.apply(r).is_zero()
-
-    def test_retier(self):
-        d3 = build_delta(3)          # tier 2
-        d3_at_1 = build_delta(3, tier=1)
-        assert retier_system(d3, 1) == d3_at_1
 
     def test_json_serialization(self):
         doc = build_delta(2).to_json_dict()

@@ -136,8 +136,8 @@ class TestStructureConstants:
     def test_non_closure_detected(self):
         # [d/dx, x^2 d/du] = 2x d/du escapes the span of the pair
         basis = [
-            VectorField(1, 1, ZERO, ONE, (ZERO,), name="a"),
-            VectorField(1, 1, ZERO, ZERO, (X ** 2,), name="b"),
+            VectorField(1, ZERO, ONE, (ZERO,), name="a"),
+            VectorField(1, ZERO, ZERO, (X ** 2,), name="b"),
         ]
         with pytest.raises(NonClosureError):
             _expand_in_basis([commutator(basis[0], basis[1])], basis)

@@ -47,14 +47,14 @@ PACKAGE_MODULES = (burgers_hierarchy, symcore, hierarchy, prolong, liealg, linal
 
 class TestProlongationFormulas:
     def test_time_translation_trivial(self):
-        field = VectorField(1, 1, ONE, ZERO, (ZERO,), name="d/dt")
+        field = VectorField(1, ONE, ZERO, (ZERO,), name="d/dt")
         pf = prolong2(field)
         for coeffs in (pf.eta_t, pf.eta_x, pf.eta_tt, pf.eta_tx, pf.eta_xx):
             assert all(c.is_zero() for c in coeffs)
 
     def test_galilean_single_component(self):
         # t d/dx + d/du: first-order t coefficient is -u_x, x coefficient 0
-        field = VectorField(1, 1, ZERO, T, (ONE,), name="galilean")
+        field = VectorField(1, ZERO, T, (ONE,), name="galilean")
         pf = prolong2(field)
         assert pf.eta_t[0] == -UX
         assert pf.eta_x[0].is_zero()
@@ -62,7 +62,7 @@ class TestProlongationFormulas:
 
     def test_scaling_single_component(self):
         # 2t d/dt + x d/dx - u d/du
-        field = VectorField(1, 1, 2 * T, X, (-U,), name="scaling")
+        field = VectorField(1, 2 * T, X, (-U,), name="scaling")
         pf = prolong2(field)
         assert pf.eta_x[0] == -2 * UX
         assert pf.eta_xx[0] == -3 * UXX
@@ -85,10 +85,10 @@ class TestProlongationFormulas:
 
     def test_prolongation_linearity(self):
         # rational combinations of tau = 0 fields prolong linearly
-        f1 = VectorField(1, 1, ZERO, T, (ONE,))
-        f2 = VectorField(1, 1, ZERO, X, (U,))
+        f1 = VectorField(1, ZERO, T, (ONE,))
+        f2 = VectorField(1, ZERO, X, (U,))
         a, b = Fraction(3), Fraction(-1, 2)
-        combo = VectorField(1, 1, ZERO, a * f1.xi + b * f2.xi,
+        combo = VectorField(1, ZERO, a * f1.xi + b * f2.xi,
                             (a * f1.etas[0] + b * f2.etas[0],))
         pc, p1, p2 = prolong2(combo), prolong2(f1), prolong2(f2)
         for attr in ("eta_t", "eta_x", "eta_tt", "eta_tx", "eta_xx"):
@@ -101,7 +101,7 @@ class TestManifoldRules:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_idempotent(self, m):
         field, _ = generic_ansatz(m)
-        rules = manifold_rules(m, field)
+        rules = manifold_rules(field)
         k = field.tier
         probe = (
             jet(k, 1, nt=1) * jet(k, m, nx=2)
@@ -113,14 +113,14 @@ class TestManifoldRules:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_system_residuals_vanish_on_manifold(self, m):
         field, _ = generic_ansatz(m)
-        rules = manifold_rules(m, field)
+        rules = manifold_rules(field)
         for r in build_delta(m).residuals:
             assert rules.apply(r).is_zero()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_only_low_order_coordinates_survive(self, m):
         field, _ = generic_ansatz(m)
-        rules = manifold_rules(m, field)
+        rules = manifold_rules(field)
         k = field.tier
         probe = jet(k, 1, 1, 1) + jet(k, m, 0, 3) + jet(k, 1, 2, 0)
         out = rules.apply(probe)
@@ -129,9 +129,9 @@ class TestManifoldRules:
                 assert atom.nt == 0 and atom.nx <= 1
 
     def test_requires_unit_tau(self):
-        field = VectorField(1, 1, 2 * T, X, (-U,))
+        field = VectorField(1, 2 * T, X, (-U,))
         with pytest.raises(ValueError):
-            manifold_rules(1, field)
+            manifold_rules(field)
 
 
 def expected_cubic_single(xi, eta, u, ux):
@@ -191,13 +191,13 @@ def expected_cubic_pair(xi, e1, e2, u1, u2, u1x, u2x):
 class TestDeterminingPolynomials:
     def test_single_component_matches_longhand(self):
         field, syms = generic_ansatz(1)
-        computed = determining_polynomials(1, field)[0]
+        computed = determining_polynomials(field)[0]
         expected = expected_cubic_single(syms["xi"], syms["eta1"], U, UX)
         assert computed == expected
 
     def test_single_component_term_by_term(self):
         field, syms = generic_ansatz(1)
-        computed = collect_coefficients(determining_polynomials(1, field)[0], [UX])
+        computed = collect_coefficients(determining_polynomials(field)[0], [UX])
         expected = collect_coefficients(
             expected_cubic_single(syms["xi"], syms["eta1"], U, UX), [UX]
         )
@@ -207,7 +207,7 @@ class TestDeterminingPolynomials:
 
     def test_pair_matches_longhand(self):
         field, syms = generic_ansatz(2)
-        computed = determining_polynomials(2, field)
+        computed = determining_polynomials(field)
         u1, u2 = jet(1, 1), jet(1, 2)
         u1x, u2x = jet(1, 1, nx=1), jet(1, 2, nx=1)
         expected = expected_cubic_pair(
@@ -219,7 +219,7 @@ class TestDeterminingPolynomials:
     def test_pair_term_by_term(self):
         field, syms = generic_ansatz(2)
         u1x, u2x = jet(1, 1, nx=1), jet(1, 2, nx=1)
-        computed = determining_polynomials(2, field)
+        computed = determining_polynomials(field)
         expected = expected_cubic_pair(
             syms["xi"], syms["eta1"], syms["eta2"], jet(1, 1), jet(1, 2), u1x, u2x
         )
@@ -233,7 +233,7 @@ class TestDeterminingPolynomials:
     def test_quoted_mixed_coefficient(self):
         # coefficient of (u_2,x)^2 in the first equation: xi_u2 - eta1_u2u2
         field, syms = generic_ansatz(2)
-        poly = determining_polynomials(2, field)[0]
+        poly = determining_polynomials(field)[0]
         u2x = jet(1, 2, nx=1)
         coeff = collect_coefficients(poly, [jet(1, 1, nx=1), u2x])[u2x ** 2]
         d2 = JetCoord(1, 2)
@@ -255,7 +255,7 @@ class TestDeterminingPolynomials:
         from burgers_hierarchy.symcore import SubstitutionMap
 
         field = build_symmetry_field(m)
-        restricted = determining_polynomials(m, field)
+        restricted = determining_polynomials(field)
         k = field.tier
         kill_x = SubstitutionMap([
             (JetCoord(k + 1, b, nt, nx), ZERO)
@@ -296,10 +296,10 @@ class TestTheorem:
 
     def test_broken_field_fails_loudly(self):
         field = build_symmetry_field(1)
-        broken = VectorField(1, 1, field.tau, field.xi + jet(2, 1),
+        broken = VectorField(1, field.tau, field.xi + jet(2, 1),
                              field.etas, name="broken")
         with pytest.raises(VerificationError):
-            restricted = determining_polynomials(1, broken)
+            restricted = determining_polynomials(broken)
             follow_up = build_delta(3)
             solved = follow_up.solved_rules()
             for res in restricted:
@@ -321,7 +321,7 @@ class TestClassical:
         assert len(report.generators) == 5
 
     def test_non_symmetry_rejected(self):
-        fake = VectorField(1, 1, ZERO, ZERO, (X,), name="fake")
+        fake = VectorField(1, ZERO, ZERO, (X,), name="fake")
         with pytest.raises(VerificationError):
             verify_classical(1, fields=[fake])
 
