@@ -308,7 +308,8 @@ def cmd_report(args) -> int:
             continue
         status = doc.get("status")
         if status is None and "certification" in doc:
-            status = "ok" if doc["certification"].get("passed") else "failed"
+            cert = doc["certification"]
+            status = "ok" if isinstance(cert, dict) and cert.get("passed") is True else "failed"
         summary[name] = status or "data"
     if args.format == "json":
         sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")

@@ -1,15 +1,17 @@
 """Second prolongation of vector fields and mechanical invariance checks.
 
 The conditional-symmetry computation follows the standard scheme: extend
-the generator to second-order jet coordinates, apply it to each system
-residual, then restrict to the solution manifold (the system itself, the
-invariant surface conditions, and their differential consequences).
-What remains is a polynomial in the first-order x-derivatives whose
-coefficients are the determining quantities.
+the generator to jet coordinates, apply it to each system residual, then
+restrict to the solution manifold (the system itself and the invariant
+surface conditions).  What remains is a polynomial in the first-order
+x-derivatives whose coefficients are the determining quantities.
 
-Two independent prolongation code paths are provided -- the
-characteristic form and the direct coefficient recursion -- and are
-cross-checked in the test suite; a mismatch fails the build.
+Every residual u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x holds only u_a,
+u_a,t, u_a,x and u_a,xx, so only their coefficients eta^t, eta^x and
+eta^xx are prolonged.  Two independent prolongation code paths are
+provided -- the characteristic form and the direct coefficient
+recursion -- and are cross-checked in the test suite; a mismatch fails
+the build.
 """
 
 from __future__ import annotations
@@ -59,31 +61,37 @@ def _dx(e: Expr) -> Expr:
 # prolongation
 
 
+def _stray_coordinate(e: Expr, k: int, orders) -> JetCoord | None:
+    """A tier-k jet coordinate of ``e`` whose (nt, nx) is not in
+    ``orders``, or None."""
+    return next((a for a in e.atoms() if isinstance(a, JetCoord) and a.tier == k
+                 and (a.nt, a.nx) not in orders), None)
+
+
 @dataclass(frozen=True)
 class ProlongedField:
-    """Second prolongation: first-order coefficients eta^t, eta^x and
-    second-order coefficients eta^tt, eta^tx, eta^xx per component."""
+    """Second prolongation on the coordinates a residual holds: the
+    coefficients eta^t, eta^x and eta^xx per component."""
 
     base: VectorField
     eta_t: tuple[Expr, ...]
     eta_x: tuple[Expr, ...]
-    eta_tt: tuple[Expr, ...]
-    eta_tx: tuple[Expr, ...]
     eta_xx: tuple[Expr, ...]
 
     def apply_to(self, e: Expr) -> Expr:
-        """Action of the prolonged field on an expression in jet
-        coordinates of order <= 2 of the base field's family."""
+        """Action of the prolonged field on an expression in t, x and the
+        coordinates u_a, u_a,t, u_a,x and u_a,xx of the base field's tier;
+        any other derivative of that tier raises ``ValueError``."""
         f = self.base
         k = f.tier
-        out = f.tau * partial_derivative(e, T_ATOM) + f.xi * partial_derivative(e, X_ATOM)
+        stray = _stray_coordinate(e, k, ((0, 0), (1, 0), (0, 1), (0, 2)))
+        if stray is not None:
+            raise ValueError(f"{stray.render()} is not a prolonged coordinate")
+        out = f.apply_to(e)
         for a in range(1, f.m + 1):
             for coeff, coord in (
-                (f.etas[a - 1], JetCoord(k, a)),
                 (self.eta_t[a - 1], JetCoord(k, a, nt=1)),
                 (self.eta_x[a - 1], JetCoord(k, a, nx=1)),
-                (self.eta_tt[a - 1], JetCoord(k, a, nt=2)),
-                (self.eta_tx[a - 1], JetCoord(k, a, nt=1, nx=1)),
                 (self.eta_xx[a - 1], JetCoord(k, a, nx=2)),
             ):
                 d = partial_derivative(e, coord)
@@ -99,17 +107,14 @@ def prolong2(field: VectorField) -> ProlongedField:
     the derivative coordinate u_a,J is D_J(W_a) + tau*u_a,Jt + xi*u_a,Jx.
     """
     k, tau, xi = field.tier, field.tau, field.xi
-    eta_t, eta_x, eta_tt, eta_tx, eta_xx = [], [], [], [], []
+    eta_t, eta_x, eta_xx = [], [], []
     for a, eta in enumerate(field.etas, start=1):
         w = eta - tau * jet(k, a, nt=1) - xi * jet(k, a, nx=1)
-        dtw, dxw = _dt(w), _dx(w)
-        eta_t.append(dtw + tau * jet(k, a, nt=2) + xi * jet(k, a, 1, 1))
+        dxw = _dx(w)
+        eta_t.append(_dt(w) + tau * jet(k, a, nt=2) + xi * jet(k, a, 1, 1))
         eta_x.append(dxw + tau * jet(k, a, 1, 1) + xi * jet(k, a, nx=2))
-        eta_tt.append(_dt(dtw) + tau * jet(k, a, nt=3) + xi * jet(k, a, 2, 1))
-        eta_tx.append(_dx(dtw) + tau * jet(k, a, 2, 1) + xi * jet(k, a, 1, 2))
         eta_xx.append(_dx(dxw) + tau * jet(k, a, 1, 2) + xi * jet(k, a, nx=3))
-    return ProlongedField(field, tuple(eta_t), tuple(eta_x),
-                          tuple(eta_tt), tuple(eta_tx), tuple(eta_xx))
+    return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
 
 
 def prolong2_direct(field: VectorField) -> ProlongedField:
@@ -117,17 +122,13 @@ def prolong2_direct(field: VectorField) -> ProlongedField:
     eta^{J,i} = D_i(eta^J) - D_i(tau)*u_{a,J,t} - D_i(xi)*u_{a,J,x},
     kept as an independent path for cross-checking."""
     k, tau, xi = field.tier, field.tau, field.xi
-    eta_t, eta_x, eta_tt, eta_tx, eta_xx = [], [], [], [], []
+    eta_t, eta_x, eta_xx = [], [], []
     for a, eta in enumerate(field.etas, start=1):
-        et = _dt(eta) - _dt(tau) * jet(k, a, nt=1) - _dt(xi) * jet(k, a, nx=1)
         ex = _dx(eta) - _dx(tau) * jet(k, a, nt=1) - _dx(xi) * jet(k, a, nx=1)
-        eta_t.append(et)
+        eta_t.append(_dt(eta) - _dt(tau) * jet(k, a, nt=1) - _dt(xi) * jet(k, a, nx=1))
         eta_x.append(ex)
-        eta_tt.append(_dt(et) - _dt(tau) * jet(k, a, nt=2) - _dt(xi) * jet(k, a, 1, 1))
-        eta_tx.append(_dx(et) - _dx(tau) * jet(k, a, nt=2) - _dx(xi) * jet(k, a, 1, 1))
         eta_xx.append(_dx(ex) - _dx(tau) * jet(k, a, 1, 1) - _dx(xi) * jet(k, a, nx=2))
-    return ProlongedField(field, tuple(eta_t), tuple(eta_x),
-                          tuple(eta_tt), tuple(eta_tx), tuple(eta_xx))
+    return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +138,12 @@ def prolong2_direct(field: VectorField) -> ProlongedField:
 @dataclass(frozen=True)
 class ManifoldRules:
     """Substitution rules cutting out the manifold: the invariant surface
-    conditions eliminate u_a,t; their differential consequences eliminate
-    u_a,tx and u_a,tt; the system's solved form (already reduced by the
-    surface conditions) eliminates u_a,xx and u_a,xxx.  After
-    application only u_a and u_a,x of the system's family survive."""
+    conditions eliminate u_a,t, and the system's solved form (already
+    reduced by the surface conditions) eliminates u_a,xx.  No
+    differential consequence is needed: with tau = 1 and xi, eta_a of
+    order zero, eta^t, eta^x and eta^xx hold no coordinate beyond u_a,t,
+    u_a,x and u_a,xx.  After application only u_a and u_a,x of the
+    system's family survive."""
 
     rules: SubstitutionMap
 
@@ -159,13 +162,7 @@ def manifold_rules(field: VectorField) -> ManifoldRules:
         # u_a,t from Q_a = 0
         rules[JetCoord(k, a, nt=1)] = q_rhs
         # u_a,xx from the solved form, with u_a,t already eliminated
-        xx_rhs = q_rhs + u(a) * u(1, nx=1) + u(a + 1, nx=1)
-        rules[JetCoord(k, a, nx=2)] = xx_rhs
-        # differential consequences; SubstitutionMap closes them against
-        # the rules above
-        rules[JetCoord(k, a, 1, 1)] = _dx(q_rhs)
-        rules[JetCoord(k, a, 2, 0)] = _dt(q_rhs)
-        rules[JetCoord(k, a, 0, 3)] = _dx(xx_rhs)
+        rules[JetCoord(k, a, nx=2)] = q_rhs + u(a) * u(1, nx=1) + u(a + 1, nx=1)
     return ManifoldRules(SubstitutionMap(rules))
 
 
@@ -195,10 +192,17 @@ def invariance_residuals(system: PdeSystem, field: VectorField) -> list[Expr]:
 
 def determining_polynomials(ansatz: VectorField) -> list[Expr]:
     """Invariance residuals restricted to the manifold: polynomials in
-    the first-order x-derivatives of the system's variables."""
+    the first-order x-derivatives of the system's variables.  A residual
+    that keeps another derivative of the system's tier (the ansatz
+    coefficients depend on derivatives) raises ``ValueError``."""
     system = build_delta(ansatz.m)
     rules = manifold_rules(ansatz)
-    return [rules.apply(r) for r in invariance_residuals(system, ansatz)]
+    restricted = [rules.apply(r) for r in invariance_residuals(system, ansatz)]
+    for a, res in enumerate(restricted, start=1):
+        stray = _stray_coordinate(res, ansatz.tier, ((0, 0), (0, 1)))
+        if stray is not None:
+            raise ValueError(f"equation {a}: {stray.render()} survives restriction")
+    return restricted
 
 
 # ---------------------------------------------------------------------------

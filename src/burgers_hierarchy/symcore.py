@@ -57,11 +57,6 @@ class NonPolynomialError(SymbolicError):
     """An operation required polynomial dependence on a coordinate."""
 
 
-class SubstitutionCycleError(SymbolicError):
-    """Substitution rules depend on each other in a cycle; raised when the
-    rules are closed at construction."""
-
-
 class InexactDivisionError(ArithmeticError):
     """A polynomial has no polynomial quotient by another."""
 
@@ -407,10 +402,6 @@ class Expr:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(terms: dict) -> "Expr":
-        return Expr(_ints(_checked({m: c for m, c in terms.items() if c != 0})))
-
-    @staticmethod
     def from_rational(v: Scalar) -> "Expr":
         c = _scalar(v)
         return Expr({0: c} if c else {})
@@ -734,17 +725,14 @@ def contains_atom(e: Expr, atom: Atom) -> bool:
 
 
 class SubstitutionMap:
-    """Rewrite rules atom -> Expr, closed against each other at
-    construction so that :meth:`apply` is a single pass.
+    """Independent rewrite rules atom -> Expr, applied in one pass.
 
-    A rule depends on every left-hand atom in its right-hand side,
-    including atoms inside function arguments.  Construction visits the
-    rules in dependency order and substitutes each rule's closed
-    dependencies into it, so no right-hand side keeps a left-hand atom.
-    A rule whose right-hand side contains its own atom raises
-    ``ValueError``; rules that depend on each other in a cycle raise
-    :class:`SubstitutionCycleError`.  Independent variables and function
-    applications cannot be rewritten.
+    No right-hand side may hold a left-hand atom, including atoms inside
+    function arguments; such a rule set (a rule that uses itself,
+    another rule's atom, or a cycle) raises ``ValueError``.  So one pass
+    rewrites every left-hand atom, and applying the rules again changes
+    nothing.  Independent variables and function applications cannot be
+    rewritten.
     """
 
     def __init__(self, rules):
@@ -752,37 +740,18 @@ class SubstitutionMap:
             rules = rules.items()
         self.rules: dict[Atom, Expr] = {}
         self._mask = 0  # fields of the left-hand atoms
-        deps: dict[Atom, dict[Atom, None]] = {}
         for atom, rhs in rules:
             if isinstance(atom, Expr):
                 atom = _single_atom(atom)
             if isinstance(atom, (Var, FuncApp)):
                 raise ValueError(f"{atom.render()} cannot be substituted")
-            rhs = as_expr(rhs)
-            deps[atom] = _nested_atoms(rhs)
-            if atom in deps[atom]:
-                raise ValueError(f"rule for {atom.render()} maps to an expression containing it")
-            self.rules[atom] = rhs
+            self.rules[atom] = as_expr(rhs)
             self._mask |= _FIELD[_intern(atom)]
-
-        closed: dict[Atom, bool] = {}  # False while a rule's dependencies are being closed
-
-        def close(atom: Atom):
-            state = closed.get(atom)
-            if state is False:
-                raise SubstitutionCycleError(f"substitution rules are cyclic through {atom.render()}")
-            if state:
-                return
-            closed[atom] = False
-            pending = [a for a in deps[atom] if a in self.rules]
-            for a in pending:
-                close(a)
-            if pending:
-                self.rules[atom] = self._apply_once(self.rules[atom])
-            closed[atom] = True
-
-        for atom in self.rules:
-            close(atom)
+        for atom, rhs in self.rules.items():
+            used = next((a for a in _nested_atoms(rhs) if a in self.rules), None)
+            if used is not None:
+                raise ValueError(f"rule for {atom.render()} maps to an expression containing "
+                                 f"the left-hand atom {used.render()}")
 
     def apply(self, e: Expr) -> Expr:
         """Rewrite every left-hand atom of ``e``, in one pass."""
@@ -940,14 +909,15 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
         if q_mon < 0 or q_mon & _GUARD:
             raise InexactDivisionError("leading term not divisible")
         q_coeff = Fraction(rem[p_lead], d_lc)
-        quotient[q_mon] = quotient.get(q_mon, 0) + q_coeff
+        # the leading monomial strictly decreases, so q_mon is new
+        quotient[q_mon] = q_coeff
         for mon, c in _mul_terms({q_mon: q_coeff}, d._terms).items():
             s = rem.get(mon, 0) - c
             if s:
                 rem[mon] = s
             else:
                 del rem[mon]
-    return Expr._make(quotient)
+    return Expr(_ints(quotient))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,14 @@ class TestReport:
         assert main(["report", "--dir", str(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines() == ["catalog.json: data", "number.json: data"]
 
+    @pytest.mark.parametrize("cert", ["yes", None, [True], {"passed": "yes"}, {}])
+    def test_malformed_certification_is_failed(self, tmp_path, capsys, cert):
+        (tmp_path / "exact.json").write_text(json.dumps({"certification": cert}))
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["exact.json: failed"]
+        assert "Traceback" not in captured.err
+
     def test_bad_directory(self):
         assert main(["report", "--dir", "/nonexistent-dir-xyz"]) == 4
 

@@ -49,7 +49,7 @@ class TestProlongationFormulas:
     def test_time_translation_trivial(self):
         field = VectorField(1, ONE, ZERO, (ZERO,), name="d/dt")
         pf = prolong2(field)
-        for coeffs in (pf.eta_t, pf.eta_x, pf.eta_tt, pf.eta_tx, pf.eta_xx):
+        for coeffs in (pf.eta_t, pf.eta_x, pf.eta_xx):
             assert all(c.is_zero() for c in coeffs)
 
     def test_galilean_single_component(self):
@@ -73,8 +73,6 @@ class TestProlongationFormulas:
         a, b = prolong2(field), prolong2_direct(field)
         assert a.eta_t == b.eta_t
         assert a.eta_x == b.eta_x
-        assert a.eta_tt == b.eta_tt
-        assert a.eta_tx == b.eta_tx
         assert a.eta_xx == b.eta_xx
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -91,22 +89,35 @@ class TestProlongationFormulas:
         combo = VectorField(1, ZERO, a * f1.xi + b * f2.xi,
                             (a * f1.etas[0] + b * f2.etas[0],))
         pc, p1, p2 = prolong2(combo), prolong2(f1), prolong2(f2)
-        for attr in ("eta_t", "eta_x", "eta_tt", "eta_tx", "eta_xx"):
+        for attr in ("eta_t", "eta_x", "eta_xx"):
             got = getattr(pc, attr)[0]
             expected = a * getattr(p1, attr)[0] + b * getattr(p2, attr)[0]
             assert got == expected
 
+    @pytest.mark.parametrize("coord", [jet(1, 1, nx=3), jet(1, 1, nt=2)], ids=["u_xxx", "u_tt"])
+    def test_apply_to_rejects_unprolonged_coordinates(self, coord):
+        # only u, u_t, u_x and u_xx carry a prolonged coefficient; another
+        # derivative must not be dropped silently
+        pf = prolong2(VectorField(1, ONE, X, (U,)))
+        with pytest.raises(ValueError):
+            pf.apply_to(U * coord + UXX)
+
 
 class TestManifoldRules:
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_two_rules_per_component(self, m):
+        field, _ = generic_ansatz(m)
+        k = field.tier
+        assert set(manifold_rules(field).rules.rules) == {
+            JetCoord(k, a, nt, nx) for a in range(1, m + 1) for nt, nx in [(1, 0), (0, 2)]
+        }
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_idempotent(self, m):
         field, _ = generic_ansatz(m)
         rules = manifold_rules(field)
         k = field.tier
-        probe = (
-            jet(k, 1, nt=1) * jet(k, m, nx=2)
-            + jet(k, 1, 1, 1) + jet(k, m, 2, 0) + jet(k, 1, 0, 3)
-        )
+        probe = jet(k, 1, nt=1) * jet(k, m, nx=2) + jet(k, m, nt=1) + jet(k, 1, nx=2)
         once = rules.apply(probe)
         assert rules.apply(once) == once
 
@@ -122,7 +133,7 @@ class TestManifoldRules:
         field, _ = generic_ansatz(m)
         rules = manifold_rules(field)
         k = field.tier
-        probe = jet(k, 1, 1, 1) + jet(k, m, 0, 3) + jet(k, 1, 2, 0)
+        probe = jet(k, 1, nt=1) * jet(k, m, nx=2) + jet(k, m, nt=1) ** 2 + jet(k, 1, nx=2)
         out = rules.apply(probe)
         for atom in out.atoms():
             if isinstance(atom, JetCoord) and atom.tier == k:
@@ -189,6 +200,12 @@ def expected_cubic_pair(xi, e1, e2, u1, u2, u1x, u2x):
 
 
 class TestDeterminingPolynomials:
+    def test_derivative_dependent_field_rejected(self):
+        # eta = u_x prolongs to u_tx and u_xxx, which the manifold rules
+        # do not eliminate
+        with pytest.raises(ValueError):
+            determining_polynomials(VectorField(1, ONE, ZERO, (UX,)))
+
     def test_single_component_matches_longhand(self):
         field, syms = generic_ansatz(1)
         computed = determining_polynomials(field)[0]

@@ -14,7 +14,6 @@ from burgers_hierarchy.symcore import (
     NonPolynomialError,
     ONE,
     OpaqueSymbol,
-    SubstitutionCycleError,
     SubstitutionMap,
     T,
     T_ATOM,
@@ -166,7 +165,7 @@ class TestSubstitution:
 
     def test_cycle_detected_at_construction(self):
         a, b = JetCoord(1, 1), JetCoord(1, 2)
-        with pytest.raises(SubstitutionCycleError):
+        with pytest.raises(ValueError):
             SubstitutionMap([(a, jet(1, 2)), (b, jet(1, 1))])
 
     def test_substitutes_inside_function_arguments(self):
