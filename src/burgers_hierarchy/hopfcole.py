@@ -28,6 +28,7 @@ from .linalg import cramer_solve, rational_nullvector
 from .symcore import (
     Atom,
     Expr,
+    FuncApp,
     ONE,
     OpaqueDeriv,
     OpaqueSymbol,
@@ -37,6 +38,7 @@ from .symcore import (
     X,
     X_ATOM,
     ZERO,
+    _FUNC_EVAL,
     as_expr,
     cos,
     eval_expr,
@@ -122,10 +124,8 @@ def heat_polynomial(n: int) -> HeatSolution:
     p_n = x*p_{n-1} + 2(n-1)*t*p_{n-2}, p_0 = 1, p_1 = x."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    p_prev, p = ONE, X
-    if n == 0:
-        return HeatSolution(ONE, label="heatpoly(0)")
-    for deg in range(2, n + 1):
+    p_prev, p = ZERO, ONE
+    for deg in range(1, n + 1):
         p_prev, p = p, X * p + rational(2 * (deg - 1)) * T * p_prev
     return HeatSolution(p, label=f"heatpoly({n})")
 
@@ -169,11 +169,7 @@ def heat_sum(terms: Iterable[tuple[object, HeatSolution]]) -> HeatSolution:
 
 
 def _as_rat(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (Fraction, int, str)):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {v!r}")
 
@@ -251,11 +247,19 @@ class ExactSolution:
     numeric_atoms: NumericAtomMap
     labels: list[str]
     _residuals: list[RationalExpr] | None = None
+    _fills: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # _env's values beside t and x: the numeric atoms, then each function
+        # atom of det and the numerators, once per point, not per occurrence
+        atoms = set().union(*(e.atoms() for e in (self.det, *self.numerators)))
+        self._fills = tuple((a, fn, None) for a, fn in self.numeric_atoms.items()) + tuple(
+            (a, _FUNC_EVAL[a.fname], a.arg) for a in atoms if isinstance(a, FuncApp))
 
     def _env(self, t: float, x: float) -> dict:
         env: dict = {T_ATOM: t, X_ATOM: x}
-        for atom, fn in self.numeric_atoms.items():
-            env[atom] = fn(t, x)
+        for atom, fn, arg in self._fills:
+            env[atom] = fn(t, x) if arg is None else fn(eval_expr(arg, env))
         return env
 
     def evaluate(self, t: float, x: float) -> list[float]:
@@ -422,7 +426,4 @@ def certify(sol: ExactSolution) -> CertifyReport:
 
 def mix_heat_solutions(vs: Sequence[HeatSolution], coeffs: Sequence[Sequence]) -> list[HeatSolution]:
     """Replace v_i by sum_j coeffs[i][j] * v_j (for gauge-invariance checks)."""
-    out = []
-    for i, row in enumerate(coeffs):
-        out.append(heat_sum((c, v) for c, v in zip(row, vs)))
-    return out
+    return [heat_sum(zip(row, vs)) for row in coeffs]

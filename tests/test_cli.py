@@ -21,6 +21,12 @@ CATALOG_M2 = [
     {"kind": "heat_polynomial", "degree": 1},
     {"kind": "heat_polynomial", "degree": 2},
 ]
+CATALOG_COSH = [
+    {"kind": "sum", "terms": [
+        {"coeff": "1/2", "term": {"kind": "exponential", "a": "1", "sign": 1}},
+        {"coeff": "1/2", "term": {"kind": "exponential", "a": "1", "sign": -1}},
+    ]},
+]
 CATALOG_SINGULAR = [
     {"kind": "heat_polynomial", "degree": 1},
     {"kind": "sum", "terms": [
@@ -124,6 +130,24 @@ class TestExact:
         csv = (tmp_path / "exact_m2.csv").read_text().splitlines()
         assert csv[0] == "t,x,u1,u2"
         assert len(csv) == 21
+
+    @pytest.mark.parametrize("doc, digest", [
+        (CATALOG_M1, "a4fb36050adf3d4e047a90cc3ac4be9e6a505766cd55d9ac9e1e4c59d691ec7a"),
+        (CATALOG_COSH, "c53857b547e6df41b1a102326755902cb83ee3b7b3004fd01b008b9f887beded"),
+        (CATALOG_M2, "02a8300fefa4ddf7ec79c072d7f8382c970be2be4a536ad263940d8d6c169b85"),
+        ([{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3)],
+         "284d45409186e45ef24a73370fcf1f4d4cb7d3f8f9cc77cc632a6f33eae1cb85"),
+        ([{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3, 4)],
+         "0de87605c0b7e99c40c5c6d093aee7b8861cd7cb885a7b57a60a1e2f0beb9d4a"),
+    ], ids=["wave", "cosh", "pair", "heatpoly-m3", "heatpoly-m4"])
+    def test_csv_bytes_pinned(self, tmp_path, catalog, doc, digest):
+        # float evaluation of the exact solutions stays bit for bit
+        m = len(doc)
+        assert main(["exact", "--m", str(m), "--catalog", catalog(doc), "--points", "20",
+                     "--box", "0.1", "1.0", "-3.0", "3.0", "--no-meta",
+                     "--out-dir", str(tmp_path)]) == 0
+        csv = (tmp_path / f"exact_m{m}.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digest
 
     def test_negative_points_is_config_error(self, tmp_path, catalog):
         path = catalog(CATALOG_M2)
@@ -255,7 +279,8 @@ class TestSolveAndConvergence:
 
     @pytest.mark.parametrize("bad", [["--order-window", "2.2", "1.8"],
                                      ["--ladder", "32,32,64"],
-                                     ["--t-end", "0"]])
+                                     ["--t-end", "0"],
+                                     ["--ladder", "64,32,128"]])
     def test_bad_convergence_setting_is_config_error(self, tmp_path, catalog, bad):
         out = tmp_path / "out"
         assert main(["convergence", "--m", "2", "--catalog", catalog(CATALOG_M2),

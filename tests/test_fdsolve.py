@@ -14,7 +14,7 @@ from burgers_hierarchy.fdsolve import (
     Grid1D,
     GridField,
     SolverBlowupError,
-    _stencils,
+    _explicit,
     convergence_study,
     error_norms,
     field_from_exact,
@@ -111,28 +111,42 @@ class TestFixedPoints:
 
 class TestDiscreteConsistency:
     def test_spatial_operator_second_order(self):
-        # apply the discrete operators to samples of a smooth function and
-        # compare with the analytic derivatives on a refinement ladder
+        # the explicit part with h = 1 on samples of a smooth two-component
+        # field against the analytic derivatives on a refinement ladder:
+        # r = 1/dx^2, g = 0 leaves c + u_xx; r = 0, g = 1/(2 dx) leaves
+        # c - (c u_1,x + u_{a+1},x); THETA's r and g leave both terms
         errors = []
         for nx in (64, 128, 256):
             xs = np.linspace(0.0, 1.0, nx)
             dx = xs[1] - xs[0]
-            u = np.sin(2 * np.pi * xs)
-            d1, d2 = (d[1:-1] for d in _stencils(u, dx))
-            e1 = np.max(np.abs(d1 - 2 * np.pi * np.cos(2 * np.pi * xs)[1:-1]))
-            e2 = np.max(np.abs(d2 + (2 * np.pi) ** 2 * np.sin(2 * np.pi * xs)[1:-1]))
-            errors.append(max(e1, e2))
-        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-        assert all(1.8 < p < 2.2 for p in orders)
+            k = 2 * np.pi
+            u = np.vstack([np.sin(k * xs), np.cos(k * xs)])
+            ux = k * np.vstack([np.cos(k * xs), -np.sin(k * xs)])
+            uxx = -k ** 2 * u
+            adv = u * ux[0]
+            adv[0] += ux[1]
+            c, right, left = u[:, 1:-1], u[:, 2:], u[:, :-2]
+            inner = np.s_[:, 1:-1]
+            pieces = [
+                (_explicit(c, right, left, 1 / dx ** 2, 0.0) - c, uxx[inner]),
+                (c - _explicit(c, right, left, 0.0, 1 / (2 * dx)), adv[inner]),
+                (_explicit(c, right, left, (1 - fdsolve.THETA) / dx ** 2, 1 / (2 * dx)) - c,
+                 ((1 - fdsolve.THETA) * uxx - adv)[inner]),
+            ]
+            errors.append([np.max(np.abs(got - want)) for got, want in pieces])
+        for coarse, fine in zip(errors, errors[1:]):
+            assert all(1.8 < math.log2(a / b) < 2.2 for a, b in zip(coarse, fine))
 
     def test_periodic_stencils_match_roll(self):
-        # the wrapped end columns give the np.roll stencils bit for bit
+        # a periodic substep's wrapped neighbour views are the np.roll
+        # neighbours: one step is the solve of the rolled explicit part,
+        # bit for bit
         u = np.random.default_rng(5).standard_normal((3, 37))
-        dx = 0.173
+        grid = Grid1D(0.0, 36 * 0.173, 37, 1e-3, 1e-3, boundary="periodic")
+        solve, r, g = fdsolve._implicit_solver("periodic", 37, grid.dx, grid.dt)
         right, left = np.roll(u, -1, axis=-1), np.roll(u, 1, axis=-1)
-        ux, uxx = _stencils(u, dx)
-        assert np.array_equal(ux, (right - left) / (2 * dx))
-        assert np.array_equal(uxx, (right - 2 * u + left) / dx ** 2)
+        ref = solve(_explicit(u, right, left, r, g).T).T
+        assert np.array_equal(step(GridField(u, 0.0), grid).values, ref)
 
     def test_interpolation_only_when_no_steps(self):
         sol = traveling_wave()
@@ -231,6 +245,17 @@ class TestDenseOracle:
                 assert_close_to_oracle(states[k].values, ref)
 
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_dirichlet_end_columns_hold_boundary_data(self, m):
+        # r = THETA * h / dx^2 = 0.605 < 1: gtsv does not pivot on the
+        # identity rows, so the end columns are the data to the bit
+        grid, vals, _ = self.case("dirichlet")
+        bc = moving_boundary(m)
+        assert fdsolve.THETA * grid.dt / grid.dx ** 2 < 1
+        out = step(GridField(vals[:m], 0.2), grid, bc)
+        assert np.array_equal(out.values[:, [0, -1]], bc(0.2 + grid.dt))
+
+
 class TestBandedSolve:
     """The direct gtsv call against the scipy wrapper it replaces."""
 
@@ -294,6 +319,25 @@ class TestConvergence:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             convergence_study(1, traveling_wave(), [50, 100], -5.0, 5.0, 0.1)
+
+    @pytest.mark.parametrize("ladder", [[50, 200, 100], [100, 50, 200], [50, 100, 100]])
+    def test_ladder_must_increase(self, ladder):
+        with pytest.raises(ValueError, match="increasing"):
+            convergence_study(1, traveling_wave(), ladder, -10.0, 10.0, 0.1)
+
+    @pytest.mark.parametrize("l2s, monotone", [
+        ([3.0, 2.0, 1.0], True),
+        ([3.0, 1.0, 2.0], False),  # rises once
+        ([3.0, 3.0, 1.0], False),  # stalls once
+        ([1.0, 2.0, 3.0], False),
+    ])
+    def test_monotone_means_l2_falls_at_every_level(self, monkeypatch, l2s, monotone):
+        norms = iter(l2s)
+        monkeypatch.setattr(fdsolve, "error_norms", lambda *args: (next(norms), 1.0))
+        report = convergence_study(1, traveling_wave(), [8, 9, 10], -1.0, 1.0, 1e-3)
+        assert [e.l2 for e in report.entries] == l2s
+        assert report.monotone is monotone
+        assert report.to_json_dict()["monotone"] is monotone
 
     def test_report_json(self):
         report = convergence_study(1, traveling_wave(), [50, 100, 200],
