@@ -38,7 +38,9 @@ from .symcore import (
     X,
     X_ATOM,
     ZERO,
+    SymbolicError,
     _FUNC_EVAL,
+    _float_terms,
     as_expr,
     cos,
     eval_expr,
@@ -226,6 +228,69 @@ def hopfcole_matrix(m: int, vs: Sequence[HeatSolution]) -> tuple[list[list[Expr]
     return rows, rhs
 
 
+def _float_plan(det: Expr, numerators: Sequence[Expr],
+                numeric_atoms: NumericAtomMap) -> Callable[[float, float], list[float]]:
+    """Compile (t, x) -> [N_a / D] into one generated function that does
+    :func:`eval_expr`'s float work in its order, so values are bit-identical:
+    t and x coerced with ``float``; each numeric and function atom, and
+    each power of an atom, computed once; each polynomial summed as
+    ``0.0 + c * a ** k * b ** j + ...`` in term order (a coefficient 1.0
+    and an exponent 1 are exact, so they are left out).  Coefficients,
+    libm functions and numeric-atom callables enter through the namespace
+    under generated names, never as source text."""
+    namespace: dict = {}  # generated name -> coefficient, libm function or callable
+    bound: dict = {}  # coefficient, function name or numeric atom -> generated name
+    local: dict = {T_ATOM: "t", X_ATOM: "x"}  # atom or (atom, k) -> its local
+    lines = ["t = float(t)", "x = float(x)"]
+
+    def bind(value, key) -> str:
+        if key not in bound:
+            bound[key] = f"g{len(bound)}"
+            namespace[bound[key]] = value
+        return bound[key]
+
+    def assign(value: str, key=None) -> str:
+        name = f"v{len(lines)}"
+        lines.append(f"{name} = {value}")
+        if key is not None:
+            local[key] = name
+        return name
+
+    def atom(a) -> str:
+        if a in local:
+            return local[a]
+        if not isinstance(a, FuncApp):
+            raise SymbolicError(f"no numeric value for atom {a.render()}")
+        return assign(f"{bind(_FUNC_EVAL[a.fname], a.fname)}({poly(a.arg)})", a)
+
+    def power(a, k: int) -> str:
+        base = atom(a)
+        if k == 1:
+            return base
+        return local.get((a, k)) or assign(f"{base} ** {k}", (a, k))
+
+    def poly(e: Expr) -> str:
+        terms = []
+        for c, mon in _float_terms(e):
+            factors = [power(a, k) for a, k in mon]
+            if c != 1.0 or not factors:
+                factors.insert(0, bind(c, c))
+            terms.append(" * ".join(factors))
+        # one statement per 64 terms keeps the compiler's recursion shallow
+        name = assign("0.0" + "".join(f" + {f}" for f in terms[:64]))
+        for i in range(64, len(terms), 64):
+            lines.append(f"{name} = {name}" + "".join(f" + {f}" for f in terms[i:i + 64]))
+        return name
+
+    for a, fn in numeric_atoms.items():
+        assign(f"float({bind(fn, a)}(t, x))", a)
+    d = poly(det)
+    quotients = ", ".join(f"{poly(n)} / {d}" for n in numerators)
+    source = "def plan(t, x):\n    " + "\n    ".join(lines) + f"\n    return [{quotients}]\n"
+    exec(compile(source, "<exact-solution float plan>", "exec"), namespace)
+    return namespace["plan"]
+
+
 class RationalExpr(NamedTuple):
     """num/den over the polynomial kernel, kept as a pair: no gcd
     cancellation and no arithmetic."""
@@ -248,6 +313,7 @@ class ExactSolution:
     labels: list[str]
     _residuals: list[RationalExpr] | None = None
     _fills: tuple = field(init=False, repr=False)
+    _plan: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # _env's values beside t and x: the numeric atoms, then each function
@@ -263,9 +329,16 @@ class ExactSolution:
         return env
 
     def evaluate(self, t: float, x: float) -> list[float]:
-        env = self._env(t, x)
-        d = eval_expr(self.det, env)
-        return [eval_expr(n, env) / d for n in self.numerators]
+        """u_a = N_a / D at (t, x) as Python floats, bit-identical to
+        :func:`eval_expr` on :meth:`_env`, from the float plan compiled on
+        the first call.  A zero determinant raises ``ZeroDivisionError``
+        naming the point."""
+        if self._plan is None:
+            self._plan = _float_plan(self.det, self.numerators, self.numeric_atoms)
+        try:
+            return self._plan(t, x)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"the determinant vanishes at t={t}, x={x}") from None
 
     def guard_ok(self, t: float, x: float) -> bool:
         """Reject points too close to the determinant's zero set,

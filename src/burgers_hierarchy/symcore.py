@@ -924,6 +924,14 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
 # numeric evaluation
 
 
+def _float_terms(e: Expr) -> tuple:
+    """(float coefficient, decoded monomial) per term of e, in term order;
+    computed once per expression."""
+    if e._plan is None:
+        e._plan = tuple((float(c), _monomial(p)) for p, c in e._terms.items())
+    return e._plan
+
+
 def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
     """Numeric (float64) evaluation; every atom must resolve through
     ``env`` or be an elementary function of resolvable atoms."""
@@ -935,11 +943,8 @@ def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
             return _FUNC_EVAL[a.fname](eval_expr(a.arg, env))
         raise SymbolicError(f"no numeric value for atom {a.render()}")
 
-    if e._plan is None:
-        # (float coefficient, decoded monomial) per term, in term order
-        e._plan = tuple((float(c), _monomial(p)) for p, c in e._terms.items())
     total = 0.0
-    for val, mon in e._plan:
+    for val, mon in _float_terms(e):
         for a, k in mon:
             val *= atom_value(a) ** k
         total += val

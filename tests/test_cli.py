@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,6 +234,27 @@ class TestSolveAndConvergence:
         for idx in (0, 1):
             snap = (tmp_path / f"solve_m1_snap{idx}.csv").read_text().splitlines()
             assert snap[0] == "t,x,u1" and len(snap) == 65
+
+    def test_singular_point_is_named(self, tmp_path, catalog, capsys):
+        # 2t = x^2 at the ends x = -1, 1 at t = 0.5: the determinant is 0 there
+        assert main(["solve", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "-1", "--x-max", "1", "--nx", "21", "--t-start", "0.5",
+                     "--t-end", "0.01", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: the determinant vanishes at t=0.5, x=-1.0\n")
+
+    def test_blowup_prints_no_numpy_warning(self, tmp_path, catalog):
+        # numpy reports warnings through the warnings module, which pytest
+        # captures in process, so the run's stderr is read from a subprocess
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "burgers_hierarchy.cli", "solve", "--m", "2",
+             "--catalog", catalog(CATALOG_M2), "--x-min", "-1", "--x-max", "1",
+             "--nx", "20", "--t-end", "0.1", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: solver blow-up at t=")
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_convergence_quick(self, tmp_path, catalog):
         path = catalog(CATALOG_M1)

@@ -412,6 +412,6 @@ class TestBenchmarkTracerNames:
 
         verify_theorem(2)
         assert 2 * U == U + U
-        solve_exact(1, [heat_polynomial(1)]).evaluate(0.5, 1.0)
+        solve_exact(1, [heat_polynomial(1)]).guard_ok(0.5, 1.0)
         expected = set(self.FUNCTIONS) | {f"{c.__name__}.{a}" for c, a in self.METHODS}
         assert set(calls) == expected

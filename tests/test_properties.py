@@ -12,9 +12,11 @@ sets in which a right-hand side uses a left-hand atom (chains and
 cycles, directly or inside exp()) are rejected.  The
 fraction-free determinant is compared against cofactor expansion.  Every
 nonsingular catalog drawn from the heat-data grammar certifies
-symbolically.
+symbolically, and its compiled float plan (``ExactSolution.evaluate``)
+equals ``eval_expr`` on the point's environment bit for bit.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -35,6 +37,7 @@ from burgers_hierarchy.symcore import (
     JetCoord,
     SubstitutionMap,
     contains_atom,
+    eval_expr,
     exp,
     rational,
     total_derivative,
@@ -291,3 +294,31 @@ def test_catalog_solutions_certify_symbolically(catalog):
         assume(False)
     assert all(r.num.is_zero() for r in sol.residuals())
     assert certify(sol).mode == "symbolic"
+
+
+def bits(values):
+    """Exact images of floats: ``float.hex`` also tells -0.0 from 0.0."""
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(ENTRIES, min_size=m, max_size=m)),
+       st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4),
+       st.integers(1, 3), st.integers(-3, 3))
+def test_float_plan_matches_eval_expr(catalog, points, t_int, x_int):
+    """evaluate (the plan compiled from the terms) gives the floats of
+    eval_expr on _env exactly; int and np.float64 input gives the Python
+    floats of the equal float input."""
+    try:
+        sol = solve_exact(len(catalog), catalog_from_json(catalog))
+    except SingularSystemError:
+        assume(False)
+    for t, x in points:
+        env = sol._env(t, x)
+        d = eval_expr(sol.det, env)
+        assume(d != 0.0)
+        assert bits(sol.evaluate(t, x)) == bits([eval_expr(n, env) / d for n in sol.numerators])
+        assert bits(sol.evaluate(np.float64(t), np.float64(x))) == bits(sol.evaluate(t, x))
+    if eval_expr(sol.det, sol._env(t_int, x_int)) != 0.0:
+        assert bits(sol.evaluate(t_int, x_int)) == bits(sol.evaluate(float(t_int), float(x_int)))
