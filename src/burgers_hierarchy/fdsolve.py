@@ -6,10 +6,14 @@ coupling terms u_a * u_1,x and u_{a+1},x use second-order central
 differences evaluated at the previous time level, fused into one explicit
 expression over the centre and neighbour views of the state (of one
 wrapped copy on periodic grids).  The implicit operator and the explicit
-scalars are built once per (boundary, nx, dx, substep length h); the
-periodic operator is also factored once, and LAPACK ``gtsv`` factors the
-tridiagonal Dirichlet operator inside each O(nx) solve of all m
-components.  The advective CFL constraint dt <= C_ADV * dx / max|u_1| is
+scalars are built and factored once per (boundary, nx, dx, substep length
+h).  On Dirichlet grids the end values are known, so the operator is the
+constant symmetric positive definite tridiagonal matrix of the nx - 2
+interior unknowns: LAPACK ``pttrf`` factors it once, the boundary data
+moves into the first and last interior rows of the right-hand side, and
+each substep is one O(nx) ``pttrs`` solve of all m components.  The
+periodic operator, with its wraparound corners, is a sparse matrix
+factored once.  The advective CFL constraint dt <= C_ADV * dx / max|u_1| is
 enforced by adaptive substepping.
 
 Boundary data either comes from an exact solution (Dirichlet, used for
@@ -28,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import diags
 from scipy.sparse.linalg import factorized
 
@@ -60,6 +64,8 @@ class Grid1D:
     boundary: str = "dirichlet"  # or "periodic"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.dt, self.t_end))):
+            raise ValueError("x_min, x_max, dt and t_end must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("the domain needs x_min < x_max")
         if self.nx < 8:
@@ -99,36 +105,45 @@ class GridField:
 def _explicit(c, right, left, r: float, g: float) -> np.ndarray:
     """Explicit part c + r (right - 2c + left) - g (c D_1 + D_{a+1}) of a
     substep from the centre, right- and left-neighbour views of an (m, n)
-    state, with D = right - left, r = (1 - THETA) h / dx^2, g = h / (2 dx)."""
+    state, with D = right - left, r = (1 - THETA) h / dx^2, g = h / (2 dx).
+    The result is a fresh C-ordered array."""
     delta = right - left
+    delta *= g
     adv = c * delta[0]
     adv[:-1] += delta[1:]
-    return c + r * (right - 2 * c + left) - g * adv
+    out = right + left
+    out *= r
+    out += (1 - 2 * r) * c
+    out -= adv
+    return out
 
 
-def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system in scipy's ``(1, 1)`` banded layout
-    (row 0 superdiagonal, row 1 diagonal, row 2 subdiagonal) for an
-    (nx,) or (nx, k) right-hand side with one LAPACK ``dgtsv`` call.
-
-    This is the call ``scipy.linalg.solve_banded((1, 1), ab, rhs,
-    check_finite=False)`` ends in, without its per-call argument handling,
-    so the result is the same to the bit.  Neither argument is modified."""
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+def solve_banded(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric positive definite tridiagonal system whose
+    L D L^T factor ``dpttrf`` returned as (d, e), for an (n,) or (n, k)
+    right-hand side, with one LAPACK ``dpttrs`` call.  An F-contiguous rhs
+    is overwritten with the solution and returned; any other is copied
+    first.  Non-finite entries propagate to their own columns."""
+    x, info = dpttrs(d, e, rhs, overwrite_b=1)
     if info != 0:
-        raise LinAlgError(f"dgtsv failed with info={info}")
+        raise LinAlgError(f"dpttrs failed with info={info}")
     return x
 
 
 @functools.lru_cache(maxsize=8)
 def _implicit_solver(boundary: str, nx: int, dx: float, h: float):
-    """(solve, r, g) for substeps of length h: ``solve`` solves
-    (I - THETA*h*L) y = rhs for an (nx, k) right-hand side, and r, g are
-    the scalars of :func:`_explicit`.  Dirichlet rows are identity rows
-    (the boundary data sits in the right-hand side), and :func:`solve_banded`
-    factors the tridiagonal matrix inside each O(nx) call.  Periodic
-    boundaries add the wraparound corners, and the sparse matrix is
-    factored once.  Non-finite input propagates to the result, where the
+    """(solve, r, g) for substeps of length h, where r, g are the scalars of
+    :func:`_explicit` and ``solve`` inverts I - THETA*h*L.
+
+    Dirichlet: ``solve(rhs, ends)`` takes the (m, nx - 2) explicit interior
+    part, which it overwrites, and the (m, 2) boundary data at the new time,
+    and returns the new interior.  The data enters the first and last rows
+    of the right-hand side, and the constant SPD interior matrix (diagonal
+    1 + 2 THETA h/dx^2, off-diagonal -THETA h/dx^2) is factored once here,
+    so each call is one :func:`solve_banded`.  Periodic: ``solve(rhs)``
+    takes an (nx, k) right-hand side; the sparse matrix with the
+    wraparound corners is factored once.  A failed factorisation raises
+    ``LinAlgError``.  Non-finite input propagates to the result, where the
     caller's blow-up check catches it."""
     r = THETA * h / dx ** 2
     explicit = (1 - THETA) * h / dx ** 2, h / (2 * dx)
@@ -136,29 +151,34 @@ def _implicit_solver(boundary: str, nx: int, dx: float, h: float):
         mat = diags([-r, -r, 1 + 2 * r, -r, -r], [1 - nx, -1, 0, 1, nx - 1],
                     shape=(nx, nx), format="csc")
         return (factorized(mat), *explicit)
-    ab = np.zeros((3, nx))
-    ab[0, 2:] = -r          # superdiagonal (interior rows)
-    ab[1, :] = 1 + 2 * r    # diagonal
-    ab[2, :-2] = -r         # subdiagonal
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab.setflags(write=False)  # shared by every caller of the cached solver
+    n = nx - 2
+    d, e, info = dpttrf(np.full(n, 1 + 2 * r), np.full(n - 1, -r))
+    if info != 0:
+        raise LinAlgError(f"dpttrf failed with info={info}")
+    d.setflags(write=False)  # shared by every caller of the cached solver
+    e.setflags(write=False)
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return solve_banded(ab, rhs)
+    def solve(rhs: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        rows = rhs[:, ::n - 1]  # the first and last interior rows
+        rows += r * ends
+        return solve_banded(d, e, rhs.T).T
 
     return (solve, *explicit)
 
 
 def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
-             bc: BoundaryFn | None, solver, rhs: np.ndarray) -> np.ndarray:
-    """One substep; a Dirichlet one assembles its right-hand side in rhs."""
+             bc: BoundaryFn | None, solver) -> np.ndarray:
+    """One substep; Dirichlet end columns are the boundary data."""
     solve, r, g = solver
     if grid.boundary == "periodic":
         w = np.concatenate((values[:, -1:], values, values[:, :1]), axis=1)
         return solve(_explicit(w[:, 1:-1], w[:, 2:], w[:, :-2], r, g).T).T
-    rhs[:, 1:-1] = _explicit(values[:, 1:-1], values[:, 2:], values[:, :-2], r, g)
-    rhs[:, ::grid.nx - 1] = bc(t + h)  # the two end columns
-    return solve(rhs.T).T
+    ends = bc(t + h)
+    new = np.empty_like(values)
+    interior = _explicit(values[:, 1:-1], values[:, 2:], values[:, :-2], r, g)
+    new[:, 1:-1] = solve(interior, ends)
+    new[:, ::grid.nx - 1] = ends
+    return new
 
 
 def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
@@ -174,22 +194,22 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
         dt = grid.dt
     elif dt <= 0:
         raise ValueError("dt must be positive")
+    dx = grid.dx
     values = state.values
     umax = float(np.abs(values[0]).max()) if values.size else 0.0
     if not math.isfinite(umax):
         raise SolverBlowupError(f"non-finite state at t={state.time}")
-    dt_max = C_ADV * grid.dx / max(umax, 1e-12)
+    dt_max = C_ADV * dx / max(umax, 1e-12)
     nsub = max(1, math.ceil(dt / dt_max))
     if nsub > MAX_SUBSTEPS:
         raise CFLError(
             f"advective CFL needs {nsub} substeps per dt (> {MAX_SUBSTEPS})"
         )
     h = dt / nsub
-    solver = _implicit_solver(grid.boundary, grid.nx, grid.dx, h)
-    rhs = np.empty(values.shape)
+    solver = _implicit_solver(grid.boundary, grid.nx, dx, h)
     t = state.time
     for _ in range(nsub):
-        values = _substep(values, t, h, grid, bc, solver, rhs)
+        values = _substep(values, t, h, grid, bc, solver)
         t += h
         if not np.isfinite(values).all():
             raise SolverBlowupError(f"solver blow-up at t={t}")

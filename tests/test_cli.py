@@ -301,6 +301,23 @@ class TestSolveAndConvergence:
                      "--out-dir", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, bad", [
+        ("solve", ["--t-end", "nan"]),  # used to report the initial state
+        ("solve", ["--t-end", "inf"]),  # used to exit 3 on the CFL limit
+        ("solve", ["--dt", "inf"]),     # used to take one step over the run
+        ("solve", ["--dt", "nan"]),
+        ("solve", ["--x-min=-inf"]),
+        ("convergence", ["--dt-scale", "inf"]),
+    ])
+    def test_non_finite_setting_is_config_error(self, tmp_path, catalog, capsys,
+                                                command, bad):
+        out = tmp_path / "out"
+        assert main([command, "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--t-end", "0.02", *bad,
+                     "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [["--order-window", "2.2", "1.8"],
                                      ["--ladder", "32,32,64"],
                                      ["--t-end", "0"],

@@ -19,7 +19,6 @@ from burgers_hierarchy.fdsolve import (
     error_norms,
     field_from_exact,
     make_boundary,
-    solve_banded,
     solve_ivp,
     step,
 )
@@ -247,8 +246,8 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_dirichlet_end_columns_hold_boundary_data(self, m):
-        # r = THETA * h / dx^2 = 0.605 < 1: gtsv does not pivot on the
-        # identity rows, so the end columns are the data to the bit
+        # r = THETA * h / dx^2 = 0.605; the end columns are written from
+        # bc(t + h), not solved for, so they are the data to the bit
         grid, vals, _ = self.case("dirichlet")
         bc = moving_boundary(m)
         assert fdsolve.THETA * grid.dt / grid.dx ** 2 < 1
@@ -257,39 +256,77 @@ class TestDenseOracle:
 
 
 class TestBandedSolve:
-    """The direct gtsv call against the scipy wrapper it replaces."""
+    """The factored Dirichlet solve against scipy's banded solvers."""
 
     @staticmethod
     def system(nx, k):
+        # r = THETA * h / dx^2 from 0.05 to about 5 over the cases, and
+        # right-hand sides with their boundary values in the end rows
         rng = np.random.default_rng(nx + k)
-        ab = rng.uniform(-1.0, 1.0, (3, nx))
-        ab[1] += 3.0  # diagonally dominant, so nonsingular
-        ab.setflags(write=False)
-        # the transpose of a C-ordered (k, nx) array, as _substep passes it
-        rhs = rng.standard_normal((k, nx)).T
-        return ab, rhs
+        dx, h = 1.0 / (nx - 1), rng.uniform(0.1, 10.0) / (nx - 1) ** 2
+        rhs = rng.standard_normal((k, nx))
+        return dx, h, fdsolve.THETA * h / dx ** 2, rhs
 
     @pytest.mark.parametrize("nx", [8, 100, 400, 1600])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bit_identical_to_scipy(self, nx, k):
-        ab, rhs = self.system(nx, k)
-        before = rhs.copy()
-        ref = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
-        assert np.array_equal(solve_banded(ab, rhs), ref)
-        assert np.array_equal(rhs, before)
+        # scipy.linalg.solveh_banded runs LAPACK ptsv (pttrf, then pttrs) on
+        # the interior system with the data moved to the right-hand side:
+        # the same arithmetic, so the same bits; the full system with its
+        # identity rows, solved by Gaussian elimination, agrees to rounding
+        dx, h, r, rhs = self.system(nx, k)
+        solve = fdsolve._implicit_solver("dirichlet", nx, dx, h)[0]
+        ends = rhs[:, [0, -1]]
+        out = solve(rhs[:, 1:-1].copy(), ends)
+
+        moved = rhs[:, 1:-1].copy()
+        moved[:, 0] += r * ends[:, 0]
+        moved[:, -1] += r * ends[:, 1]
+        upper = np.zeros((2, nx - 2))
+        upper[0, 1:] = -r
+        upper[1] = 1 + 2 * r
+        ref = scipy.linalg.solveh_banded(upper, moved.T, check_finite=False).T
+        assert np.array_equal(out, ref)
+
+        ab = np.zeros((3, nx))
+        ab[0, 2:] = ab[2, :-2] = -r
+        ab[1] = 1 + 2 * r
+        ab[1, [0, -1]] = 1.0
+        full = scipy.linalg.solve_banded((1, 1), ab, rhs.T, check_finite=False).T
+        assert np.max(np.abs(out - full[:, 1:-1])) <= 1e-13 * np.max(np.abs(full))
 
     def test_nan_propagates(self):
-        ab, rhs = self.system(100, 2)
-        rhs = rhs.copy()
-        rhs[40, 1] = np.nan
-        out = solve_banded(ab, rhs)
-        assert np.isnan(out[:, 1]).any()
-        assert np.all(np.isfinite(out[:, 0]))
+        dx, h, _, rhs = self.system(100, 2)
+        solve = fdsolve._implicit_solver("dirichlet", 100, dx, h)[0]
+        interior = rhs[:, 1:-1].copy()
+        interior[1, 40] = np.nan
+        out = solve(interior, rhs[:, [0, -1]])
+        assert np.isnan(out[1]).any()
+        assert np.all(np.isfinite(out[0]))
 
     def test_singular_raises(self):
-        ab = np.zeros((3, 8))
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_banded(ab, np.ones(8))
+        # h < 0 makes the diagonal 1 + 2 THETA h / dx^2 = -1: not positive
+        # definite, so dpttrf fails on the first pivot
+        with pytest.raises(np.linalg.LinAlgError, match="dpttrf"):
+            fdsolve._implicit_solver("dirichlet", 8, 1.0, -2.0)
+
+    def test_factored_once_and_one_solve_per_substep(self, monkeypatch):
+        # 0.025 is not a multiple of dt = 0.01: steps of h = 0.01, 0.01 and
+        # a shortened 0.005, one CFL substep each, so two operators
+        grid, vals, bc = TestDenseOracle.case("dirichlet")
+        counts = {"dpttrf": 0, "solve_banded": 0, "bc": 0}
+        for name in ("dpttrf", "solve_banded"):
+            fn = getattr(fdsolve, name)
+            monkeypatch.setattr(fdsolve, name, lambda *a, _fn=fn, _name=name, **kw:
+                                counts.__setitem__(_name, counts[_name] + 1) or _fn(*a, **kw))
+
+        def counted_bc(t):
+            counts["bc"] += 1
+            return bc(t)
+
+        fdsolve._implicit_solver.cache_clear()
+        solve_ivp(3, GridField(vals, 0.0), grid, [0.025], counted_bc)
+        assert counts == {"dpttrf": 2, "solve_banded": 3, "bc": 3}
 
 
 class TestStepDt:
@@ -423,6 +460,12 @@ class TestFailureModes:
             Grid1D(4.0, 2.0, 16, 1e-3, 0.01)  # reversed domain
         with pytest.raises(ValueError):
             Grid1D(2.0, 2.0, 16, 1e-3, 0.01)  # empty domain
+        for field in ("x_min", "x_max", "dt", "t_end"):
+            for bad in (np.nan, np.inf, -np.inf):
+                settings = dict(x_min=0.0, x_max=1.0, nx=16, dt=1e-3, t_end=0.01)
+                settings[field] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    Grid1D(**settings)
 
 
 class TestPeriodic:

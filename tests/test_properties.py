@@ -13,8 +13,12 @@ cycles, directly or inside exp()) are rejected.  The
 fraction-free determinant is compared against cofactor expansion.  Every
 nonsingular catalog drawn from the heat-data grammar certifies
 symbolically, and its compiled float plan (``ExactSolution.evaluate``)
-equals ``eval_expr`` on the point's environment bit for bit.
+equals ``eval_expr`` on the point's environment bit for bit.  A
+finite-difference step that needs several CFL substeps matches the dense
+Crank-Nicolson oracle on both boundaries.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from burgers_hierarchy.fdsolve import C_ADV, Grid1D, GridField, step
 from burgers_hierarchy.hopfcole import SingularSystemError, catalog_from_json, certify, solve_exact
 from burgers_hierarchy.linalg import bareiss_determinant
 from burgers_hierarchy.parser import parse_expr
@@ -42,6 +47,7 @@ from burgers_hierarchy.symcore import (
     rational,
     total_derivative,
 )
+from test_fdsolve import assert_close_to_oracle, dense_substep, moving_boundary
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -322,3 +328,25 @@ def test_float_plan_matches_eval_expr(catalog, points, t_int, x_int):
         assert bits(sol.evaluate(np.float64(t), np.float64(x))) == bits(sol.evaluate(t, x))
     if eval_expr(sol.det, sol._env(t_int, x_int)) != 0.0:
         assert bits(sol.evaluate(t_int, x_int)) == bits(sol.evaluate(float(t_int), float(x_int)))
+
+
+@PROPERTY
+@given(st.integers(8, 40), st.integers(1, 3), st.sampled_from(["dirichlet", "periodic"]),
+       st.integers(0, 2 ** 32 - 1), st.floats(1.2, 4.0))
+def test_substepped_step_matches_dense_oracle(nx, m, boundary, seed, over):
+    """dt is `over` times the CFL limit C_ADV dx / max|u_1| = dx, so the
+    step takes 2 to 4 substeps; the oracle takes the same substeps."""
+    vals = np.random.default_rng(seed).uniform(-0.5, 0.5, (m, nx))
+    vals[0, 0] = 0.5  # max|u_1|
+    dx = 1.0 / (nx - 1)
+    dt = over * C_ADV * dx / 0.5
+    grid = Grid1D(0.0, 1.0, nx, dt, dt, boundary=boundary)
+    bc = moving_boundary(m) if boundary == "dirichlet" else None
+    nsub = math.ceil(dt / (C_ADV * grid.dx / 0.5))
+    assert nsub >= 2
+    out = step(GridField(vals, 0.3), grid, bc)
+    t, h, ref = 0.3, dt / nsub, vals
+    for _ in range(nsub):
+        ref = dense_substep(ref, t, h, grid, bc)
+        t += h
+    assert_close_to_oracle(out.values, ref)
