@@ -192,8 +192,8 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
         raise ValueError("dirichlet boundaries need a boundary-data callable")
     if dt is None:
         dt = grid.dt
-    elif dt <= 0:
-        raise ValueError("dt must be positive")
+    elif not 0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     dx = grid.dx
     values = state.values
     umax = float(np.abs(values[0]).max()) if values.size else 0.0

@@ -16,15 +16,20 @@ superdiagonal ones and last row (u_m, ..., u_1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 from typing import Callable
 
 from .symcore import (
+    Atom,
     Expr,
     JetCoord,
     ONE,
     SubstitutionMap,
+    T_ATOM,
+    X_ATOM,
     ZERO,
+    derivation,
     jet,
     partial_derivative,
     total_derivative,
@@ -168,16 +173,15 @@ class VectorField:
     def tier(self) -> int:
         return tier_of(self.m)
 
+    @cached_property
+    def images(self) -> dict[Atom, Expr]:
+        """The field as a derivation: t, x and u_a go to tau, xi and eta_a."""
+        return {T_ATOM: self.tau, X_ATOM: self.xi,
+                **{JetCoord(self.tier, a): eta for a, eta in enumerate(self.etas, start=1)}}
+
     def apply_to(self, e: Expr) -> Expr:
         """First-order action on functions of (t, x, u_1..u_m)."""
-        from .symcore import T_ATOM, X_ATOM
-
-        k = self.tier
-        out = self.tau * partial_derivative(e, T_ATOM)
-        out = out + self.xi * partial_derivative(e, X_ATOM)
-        for a, eta in enumerate(self.etas, start=1):
-            out = out + eta * partial_derivative(e, JetCoord(k, a))
-        return out
+        return derivation(e, self.images.get)
 
     def to_json_dict(self) -> dict:
         d = {

@@ -155,19 +155,25 @@ def heat_gaussian(t0) -> HeatSolution:
 
 def heat_sum(terms: Iterable[tuple[object, HeatSolution]]) -> HeatSolution:
     """Rational-coefficient combination of catalog entries."""
+    terms = [(_as_rat(c), sol) for c, sol in terms]
     expr = ZERO
+    for c, sol in terms:
+        expr = expr + as_expr(c) * sol.expr
+    rules, numeric = _merged_closure(sol for _, sol in terms)
+    label = " + ".join(f"{c}*{sol.label}" for c, sol in terms)
+    return HeatSolution(expr, label=label, rules=rules, numeric_atoms=numeric)
+
+
+def _merged_closure(sols: Iterable[HeatSolution]):
+    """(rules, numeric atoms) of ``sols`` merged in order; rules are None
+    when no solution has any."""
     rules: dict = {}
     numeric: NumericAtomMap = {}
-    labels = []
-    for coeff, sol in terms:
-        c = _as_rat(coeff)
-        expr = expr + as_expr(c) * sol.expr
+    for sol in sols:
         if sol.rules is not None:
             rules.update(sol.rules.rules)
         numeric.update(sol.numeric_atoms)
-        labels.append(f"{c}*{sol.label}")
-    merged = SubstitutionMap(rules) if rules else None
-    return HeatSolution(expr, label=" + ".join(labels), rules=merged, numeric_atoms=numeric)
+    return (SubstitutionMap(rules) if rules else None), numeric
 
 
 def _as_rat(v) -> Fraction:
@@ -414,18 +420,13 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
         raise SingularSystemError(msg, witness) from None
     # unknown order is (u_m, ..., u_1): reverse into component order
     numerators = list(reversed(unknown_nums))
-    rules: dict = {}
-    numeric: NumericAtomMap = {}
-    for v in vs:
-        if v.rules is not None:
-            rules.update(v.rules.rules)
-        numeric.update(v.numeric_atoms)
+    rules, numeric = _merged_closure(vs)
     return ExactSolution(
         m=m,
         numerators=numerators,
         det=det,
         matrix=matrix,
-        rules=SubstitutionMap(rules) if rules else None,
+        rules=rules,
         numeric_atoms=numeric,
         labels=[v.label for v in vs],
     )

@@ -8,7 +8,10 @@ x-derivatives whose coefficients are the determining quantities.
 
 Every residual u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x holds only u_a,
 u_a,t, u_a,x and u_a,xx, so only their coefficients eta^t, eta^x and
-eta^xx are prolonged.  Two independent prolongation code paths are
+eta^xx are prolonged.  The prolonged field acts as one derivation (see
+:func:`~burgers_hierarchy.symcore.derivation`), given by the images of
+atoms: t, x and u_a go to tau, xi and eta_a, and u_a,t, u_a,x and u_a,xx
+to eta^t, eta^x and eta^xx.  Two independent prolongation code paths are
 provided -- the characteristic form and the direct coefficient
 recursion -- and are cross-checked in the test suite; a mismatch fails
 the build.
@@ -18,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import time
 
 from .hierarchy import (PdeSystem, VectorField, build_delta, build_symmetry_field,
                         components, tier_of)
 from .symcore import (
+    Atom,
     Expr,
     JetCoord,
     NonPolynomialError,
@@ -34,6 +39,7 @@ from .symcore import (
     X_ATOM,
     ZERO,
     collect_coefficients,
+    derivation,
     jet,
     partial_derivative,
     powers_of,
@@ -82,21 +88,18 @@ class ProlongedField:
         """Action of the prolonged field on an expression in t, x and the
         coordinates u_a, u_a,t, u_a,x and u_a,xx of the base field's tier;
         any other derivative of that tier raises ``ValueError``."""
-        f = self.base
-        k = f.tier
-        stray = _stray_coordinate(e, k, ((0, 0), (1, 0), (0, 1), (0, 2)))
+        stray = _stray_coordinate(e, self.base.tier, ((0, 0), (1, 0), (0, 1), (0, 2)))
         if stray is not None:
             raise ValueError(f"{stray.render()} is not a prolonged coordinate")
-        out = f.apply_to(e)
-        for a in range(1, f.m + 1):
-            for coeff, coord in (
-                (self.eta_t[a - 1], JetCoord(k, a, nt=1)),
-                (self.eta_x[a - 1], JetCoord(k, a, nx=1)),
-                (self.eta_xx[a - 1], JetCoord(k, a, nx=2)),
-            ):
-                d = partial_derivative(e, coord)
-                if not d.is_zero():
-                    out = out + coeff * d
+        return derivation(e, self.images.get)
+
+    @cached_property
+    def images(self) -> dict[Atom, Expr]:
+        """The base field's images; u_a,t, u_a,x, u_a,xx go to eta^t, eta^x, eta^xx."""
+        k, orders = self.base.tier, ((1, 0), (0, 1), (0, 2))
+        out = dict(self.base.images)
+        for a, coeffs in enumerate(zip(self.eta_t, self.eta_x, self.eta_xx), start=1):
+            out.update((JetCoord(k, a, *o), c) for o, c in zip(orders, coeffs))
         return out
 
 
@@ -255,10 +258,9 @@ def verify_theorem(m: int) -> TheoremReport:
         for mono, coeff in collect_coefficients(res, collect_vars).items():
             combo: dict[str, str] = {}
             remainder = coeff
-            for t_atom, b in t_atoms.items():
+            for t_atom in sorted(coeff.atoms() & t_atoms.keys(), key=t_atoms.get):
+                b = t_atoms[t_atom]
                 q = partial_derivative(coeff, t_atom)
-                if q.is_zero():
-                    continue
                 if not q.is_rational():
                     raise VerificationError(
                         f"m={m}, eq {a}: coefficient of {mono} is not linear "

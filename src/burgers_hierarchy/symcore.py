@@ -27,6 +27,11 @@ interned.  No other module reads the packed format: they go through
 :func:`collect_coefficients`, :func:`powers_of`,
 :func:`coefficient_rows` and :func:`exact_divide`.
 
+Differentiation is one derivation, given by the images of atoms and
+extended by the Leibniz rule in one pass (:func:`derivation`).  Total and
+partial derivatives and the action of a (prolonged) vector field differ
+only in the images they give.
+
 All arithmetic is exact and floats are rejected.  A coefficient is
 stored as an ``int`` when it is integral and as a ``fractions.Fraction``
 otherwise; :meth:`Expr.terms` and :meth:`Expr.as_rational` return
@@ -153,14 +158,10 @@ class OpaqueSymbol:
         """Partial-derivative atom of this symbol, e.g. ``xi.d(x, u1)``."""
         orders = [0] * len(self.args)
         for a in wrt:
-            orders[self.slot(a)] += 1
+            if a not in self.args:
+                raise ValueError(f"{a.render()} is not an argument of {self.name}")
+            orders[self.args.index(a)] += 1
         return Expr.from_atom(OpaqueDeriv(self, tuple(orders)))
-
-    def slot(self, a: Atom) -> int:
-        try:
-            return self.args.index(a)
-        except ValueError:
-            raise ValueError(f"{a.render()} is not an argument of {self.name}") from None
 
 
 @dataclass(frozen=True)
@@ -626,19 +627,22 @@ _FUNC_EVAL = {
 # differentiation
 
 
-def _leibniz(e: Expr, atom_diff: Callable[[Atom], Expr]) -> Expr:
-    """Sum over monomials and their atoms (in atom order) of the monomial
-    with one power of the atom taken off, times the atom's derivative."""
+def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
+    """The derivation sending each atom ``a`` to ``image(a)`` unless that is
+    None; then an opaque symbol chains over its declared arguments, a
+    function application over its argument, and t, x and jet coordinates
+    go to 0.  One pass: over monomials and their atoms (in atom order), the
+    monomial with one power of the atom taken off times the atom's image."""
     out: dict = {}
     get = out.get
-    diffs: dict[int, dict] = {}  # atom index -> terms of its derivative
+    diffs: dict[int, dict] = {}  # atom index -> terms of its image
     seen = 0  # fields of the atoms in diffs
-    live = 0  # fields of the atoms with a nonzero derivative
+    live = 0  # fields of the atoms with a nonzero image
     for p, c in e._terms.items():
         new = p & ~seen
         if new:
             for i in _fields(new):
-                diffs[i] = atom_diff(_ATOMS[i])._terms
+                diffs[i] = _atom_derivative(_ATOMS[i], image)._terms
                 seen |= _FIELD[i]
                 if diffs[i]:
                     live |= _FIELD[i]
@@ -661,21 +665,21 @@ def _leibniz(e: Expr, atom_diff: Callable[[Atom], Expr]) -> Expr:
     return Expr(_ints(_checked(out)))
 
 
-def _atom_total(a: Atom, v: Var) -> Expr:
-    if isinstance(a, Var):
-        return ONE if a == v else ZERO
-    if isinstance(a, JetCoord):
-        return Expr.from_atom(a.bumped(v))
+def _atom_derivative(a: Atom, image: Callable[[Atom], Expr | None]) -> Expr:
+    d = image(a)
+    if d is not None:
+        return d
     if isinstance(a, OpaqueDeriv):
         out = ZERO
         for slot, arg in enumerate(a.symbol.args):
-            d_arg = _atom_total(arg, v)
-            if not d_arg.is_zero():
+            d_arg = _atom_derivative(arg, image)
+            if d_arg._terms:
                 out = out + Expr.from_atom(a.bumped(slot)) * d_arg
         return out
     if isinstance(a, FuncApp):
-        return _FUNC_DERIVATIVE[a.fname](a.arg) * total_derivative(a.arg, v)
-    raise TypeError(f"unknown atom {a!r}")
+        inner = derivation(a.arg, image)
+        return _FUNC_DERIVATIVE[a.fname](a.arg) * inner if inner._terms else ZERO
+    return ZERO
 
 
 def total_derivative(e: Expr, v) -> Expr:
@@ -686,20 +690,8 @@ def total_derivative(e: Expr, v) -> Expr:
         v = Var(v)
     if not isinstance(v, Var):
         raise TypeError("differentiation variable must be t or x")
-    return _leibniz(e, lambda a: _atom_total(a, v))
-
-
-def _atom_partial(a: Atom, wrt: Atom) -> Expr:
-    if a == wrt:
-        return ONE
-    if isinstance(a, OpaqueDeriv) and wrt in a.symbol.args:
-        return Expr.from_atom(a.bumped(a.symbol.slot(wrt)))
-    if isinstance(a, FuncApp):
-        inner = partial_derivative(a.arg, wrt)
-        if inner.is_zero():
-            return ZERO
-        return _FUNC_DERIVATIVE[a.fname](a.arg) * inner
-    return ZERO
+    return derivation(e, lambda a: ONE if a == v else
+                      Expr.from_atom(a.bumped(v)) if isinstance(a, JetCoord) else None)
 
 
 def partial_derivative(e: Expr, wrt: Atom) -> Expr:
@@ -709,7 +701,7 @@ def partial_derivative(e: Expr, wrt: Atom) -> Expr:
     # no atom of e is wrt or may depend on it
     if not reduce(or_, e._terms, 0) & (_COMPOUND | (_FIELD[i] if i is not None else 0)):
         return ZERO
-    return _leibniz(e, lambda a: _atom_partial(a, wrt))
+    return derivation(e, lambda a: ONE if a == wrt else None)
 
 
 # ---------------------------------------------------------------------------

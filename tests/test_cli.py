@@ -30,6 +30,20 @@ CATALOG_COSH = [
         {"coeff": "1/2", "term": {"kind": "exponential", "a": "1", "sign": -1}},
     ]},
 ]
+# the catalogs whose derivatives chain through opaque symbols (the
+# Gaussian amplitude) and elementary functions (exp, sin)
+CATALOG_GAUSSIAN = [
+    {"kind": "gaussian", "t0": "1/2"},
+    {"kind": "sum", "terms": [
+        {"coeff": "1", "term": {"kind": "gaussian", "t0": "3"}},
+        {"coeff": "2", "term": {"kind": "constant", "value": "1"}},
+    ]},
+]
+CATALOG_EXP_SIN = [
+    {"kind": "exponential", "a": "1", "sign": 1},
+    {"kind": "trig", "a": "2", "func": "sin"},
+    {"kind": "heat_polynomial", "degree": 3},
+]
 CATALOG_SINGULAR = [
     {"kind": "heat_polynomial", "degree": 1},
     {"kind": "sum", "terms": [
@@ -112,9 +126,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind", ["theorem", "classical", "liealg", "kappa"])
     def test_artifacts_match_benchmark_reference(self, tmp_path, kind):
-        # the benchmark's verify-sweep checks the same bytes for m = 1..12
+        # the same bytes the benchmark's verify-sweep checks: m = 1..12, and
+        # m = 1..4 for kappa
         reference = json.loads(VERIFY_REFERENCE.read_text())
-        for m in range(1, 5):
+        for m in range(1, 5 if kind == "kappa" else 13):
             assert main(["verify", kind, "--m", str(m), "--no-meta",
                          "--out-dir", str(tmp_path)]) == 0
             name = f"verify_{kind}_m{m}.json"
@@ -142,7 +157,9 @@ class TestExact:
          "284d45409186e45ef24a73370fcf1f4d4cb7d3f8f9cc77cc632a6f33eae1cb85"),
         ([{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3, 4)],
          "0de87605c0b7e99c40c5c6d093aee7b8861cd7cb885a7b57a60a1e2f0beb9d4a"),
-    ], ids=["wave", "cosh", "pair", "heatpoly-m3", "heatpoly-m4"])
+        (CATALOG_GAUSSIAN, "ccc49ca0a7f4e236b8b7bd3d12b32f011ac2e729bae07db9270948d8fd1d29ef"),
+        (CATALOG_EXP_SIN, "3543c0d92fb7cdcdf3a496f1c0fc5aec356d5b183c8f75ce686757becedfbdf1"),
+    ], ids=["wave", "cosh", "pair", "heatpoly-m3", "heatpoly-m4", "gaussian", "exp-sin"])
     def test_csv_bytes_pinned(self, tmp_path, catalog, doc, digest):
         # float evaluation of the exact solutions stays bit for bit
         m = len(doc)

@@ -345,6 +345,13 @@ class TestStepDt:
         with pytest.raises(ValueError):
             step(GridField(vals, 0.0), grid, bc, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_nonpositive_dt_rejected(self, dt):
+        grid = Grid1D(0.0, 1.0, 16, 1e-2, 0.1, boundary="periodic")
+        vals = np.random.default_rng(3).uniform(-0.5, 0.5, (2, 16))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(GridField(vals, 0.0), grid, dt=dt)
+
 
 class TestConvergence:
     def test_single_component_order_two(self):

@@ -35,8 +35,11 @@ from burgers_hierarchy.symcore import (
     X_ATOM,
     ZERO,
     collect_coefficients,
+    exp,
     jet,
+    sin,
 )
+from tests_support import reference_apply, reference_prolonged_apply
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
@@ -101,6 +104,45 @@ class TestProlongationFormulas:
         pf = prolong2(VectorField(1, ONE, X, (U,)))
         with pytest.raises(ValueError):
             pf.apply_to(U * coord + UXX)
+
+
+def elementary_field():
+    """m = 2 field whose coefficients hold exp and sin of jet coordinates."""
+    u1, u2 = jet(1, 1), jet(1, 2)
+    return VectorField(2, ONE + T * u1, exp(u1) * X, (sin(u2 * X) + u1 ** 2, exp(u1 + T) * u2),
+                       name="elementary")
+
+
+def reference_cases():
+    for m in range(1, 9):
+        yield build_symmetry_field(m)
+        yield from generators(m)
+    for m in range(1, 4):
+        yield generic_ansatz(m)[0]
+    yield elementary_field()
+
+
+class TestActionAgainstSumOfPartials:
+    """``VectorField.apply_to`` and ``ProlongedField.apply_to`` are one
+    derivation each; they must equal the sum of partial derivatives,
+    one per coordinate."""
+
+    @pytest.mark.parametrize("field", list(reference_cases()),
+                             ids=lambda f: f"{f.name}-m{f.m}")
+    def test_on_residuals(self, field):
+        pf = prolong2(field)
+        for res in build_delta(field.m).residuals:
+            assert field.apply_to(res) == reference_apply(field, res)
+            assert pf.apply_to(res) == reference_prolonged_apply(pf, res)
+
+    def test_through_function_arguments(self):
+        # the field's own coefficients hold exp and sin of jet coordinates,
+        # so the action chains through function applications
+        field = elementary_field()
+        pf = prolong2(field)
+        for e in (field.tau, field.xi, *field.etas, exp(jet(1, 1, nx=1)) * sin(jet(1, 2, nt=1))):
+            assert field.apply_to(e) == reference_apply(field, e)
+            assert pf.apply_to(e) == reference_prolonged_apply(pf, e)
 
 
 class TestManifoldRules:

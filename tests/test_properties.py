@@ -3,8 +3,9 @@ determinant.
 
 Products of packed monomials are compared against a product over decoded
 (atom, exponent) monomials, and the ring axioms, the commutation of D_t
-and D_x and the render/parse round trip are checked on random
-polynomials.  ``SubstitutionMap`` takes independent rules, whose
+and D_x, the Leibniz rule of :func:`derivation`, the action of a vector
+field against its sum of partial derivatives, and the render/parse round
+trip are checked on random polynomials.  ``SubstitutionMap`` takes independent rules, whose
 right-hand sides hold no left-hand atom, and applies them in one pass;
 these tests compare that against the plain fixpoint of one-pass
 substitution on random independent rule sets, and check that random
@@ -27,6 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from burgers_hierarchy.fdsolve import C_ADV, Grid1D, GridField, step
+from burgers_hierarchy.hierarchy import VectorField
 from burgers_hierarchy.hopfcole import SingularSystemError, catalog_from_json, certify, solve_exact
 from burgers_hierarchy.linalg import bareiss_determinant
 from burgers_hierarchy.parser import parse_expr
@@ -42,12 +44,14 @@ from burgers_hierarchy.symcore import (
     JetCoord,
     SubstitutionMap,
     contains_atom,
+    derivation,
     eval_expr,
     exp,
     rational,
     total_derivative,
 )
 from test_fdsolve import assert_close_to_oracle, dense_substep, moving_boundary
+from tests_support import reference_apply
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -107,6 +111,24 @@ def tuple_product(a: Expr, b: Expr) -> dict:
 @given(ring_elements(), ring_elements())
 def test_product_matches_tuple_reference(a, b):
     assert {frozenset(mon): c for mon, c in (a * b).terms()} == tuple_product(a, b)
+
+
+@PROPERTY
+@given(ring_elements(), ring_elements(),
+       st.dictionaries(st.sampled_from(RING_ATOMS), ring_elements(), max_size=4))
+def test_derivation_leibniz_rule(a, b, images):
+    def d(e):
+        return derivation(e, images.get)
+
+    assert d(a * b) == a * d(b) + b * d(a)
+
+
+@PROPERTY
+@given(ring_elements(), ring_elements(), ring_elements(), ring_elements(), ring_elements())
+def test_vector_field_action_is_sum_of_partials(tau, xi, eta1, eta2, e):
+    # m = 2 lives at tier 1, the tier of RING_ATOMS
+    field = VectorField(2, tau, xi, (eta1, eta2))
+    assert field.apply_to(e) == reference_apply(field, e)
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from burgers_hierarchy.symcore import (
     ZERO,
     exp,
     jet,
+    partial_derivative,
     rational,
     sinh,
 )
@@ -41,3 +42,28 @@ def random_kernel_expr(rng, depth=1):
         inner = random_kernel_expr(rng, depth - 1)
         e = e + rng.choice([exp, sinh])(inner)
     return e
+
+
+def reference_apply(field, e):
+    """tau*d_t e + xi*d_x e + sum eta_a*d_{u_a} e: the first-order action of
+    a vector field as a sum of partial derivatives, one pass per
+    coordinate."""
+    k = field.tier
+    out = field.tau * partial_derivative(e, T_ATOM) + field.xi * partial_derivative(e, X_ATOM)
+    for a, eta in enumerate(field.etas, start=1):
+        out = out + eta * partial_derivative(e, JetCoord(k, a))
+    return out
+
+
+def reference_prolonged_apply(pf, e):
+    """The second prolongation's action as the field's reference action
+    plus eta^t, eta^x and eta^xx times the partials by u_a,t, u_a,x and
+    u_a,xx."""
+    k = pf.base.tier
+    out = reference_apply(pf.base, e)
+    for a in range(1, pf.base.m + 1):
+        for coeff, coord in ((pf.eta_t[a - 1], JetCoord(k, a, nt=1)),
+                             (pf.eta_x[a - 1], JetCoord(k, a, nx=1)),
+                             (pf.eta_xx[a - 1], JetCoord(k, a, nx=2))):
+            out = out + coeff * partial_derivative(e, coord)
+    return out
