@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 verification failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -330,7 +331,11 @@ def _add_common(p: argparse.ArgumentParser):
                    help="omit meta (timing) fields from JSON artifacts")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each parse returns a
+    fresh namespace, and every default is immutable, so no call leaves
+    state behind for the next."""
     parser = _Parser(prog="burgers-hierarchy",
                      description="coupled Burgers-like systems toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true")
     p.add_argument("--points", type=int, default=100,
                    help="number of rows in exact_m<N>.csv")
-    p.add_argument("--box", type=float, nargs=4, default=[0.1, 1.0, -3.0, 3.0],
+    p.add_argument("--box", type=float, nargs=4, default=(0.1, 1.0, -3.0, 3.0),
                    metavar=("TMIN", "TMAX", "XMIN", "XMAX"))
     p.add_argument("--seed", type=int, default=20250)
     _add_common(p)
@@ -382,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--catalog", required=True)
     p.add_argument("--ladder", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[100, 200, 400])
+                   default=(100, 200, 400))
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt-scale", type=float, default=0.25)
-    p.add_argument("--order-window", type=float, nargs=2, default=[1.8, 2.2])
+    p.add_argument("--order-window", type=float, nargs=2, default=(1.8, 2.2))
     _add_common(p)
     p.set_defaults(fn=cmd_convergence)
 

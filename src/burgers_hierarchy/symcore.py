@@ -32,11 +32,16 @@ extended by the Leibniz rule in one pass (:func:`derivation`).  Total and
 partial derivatives and the action of a (prolonged) vector field differ
 only in the images they give.
 
-All arithmetic is exact and floats are rejected.  A coefficient is
-stored as an ``int`` when it is integral and as a ``fractions.Fraction``
-otherwise; :meth:`Expr.terms` and :meth:`Expr.as_rational` return
-``Fraction``.  Expressions are immutable and hashable, hence safe to
-share between threads; the atom registry only grows, under a lock.
+All arithmetic is exact and floats are rejected.  An expression holds
+``int`` numerators over one positive ``int`` denominator in lowest terms
+(``gcd(den, *numerators) == 1``), so the hot loops do ``int`` arithmetic
+only and each value has one representation; each result is reduced once,
+by one ``math.gcd`` call (none when the denominator is 1).  A
+``fractions.Fraction`` is built only where a coefficient leaves the
+kernel: :meth:`Expr.terms`, :meth:`Expr.as_rational`,
+:func:`coefficient_rows`, rendering and the canonical key.  Expressions
+are immutable and hashable, hence safe to share between threads; the
+atom registry only grows, under a lock.
 
 The tier label of a jet coordinate (the superscript used when several
 families of dependent variables coexist) participates in atom identity:
@@ -51,7 +56,7 @@ from functools import reduce
 import math
 from operator import or_
 import threading
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class SymbolicError(Exception):
@@ -215,7 +220,6 @@ class FuncApp(Atom):
 # packed monomials
 
 Monomial = tuple  # decoded: tuple[tuple[Atom, int], ...], atoms sorted, exponents >= 1
-Scalar = Union[int, Fraction]
 
 _WIDE = 32    # field width of t and x, guard bit included
 _NARROW = 8   # field width of every other atom
@@ -334,53 +338,50 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as a rational number")
 
 
-def _scalar(v) -> Scalar:
-    """A coefficient: an int when integral, else a Fraction."""
-    if type(v) is int:
-        return v
-    c = _as_fraction(v)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _ints(terms: dict) -> dict:
-    """``terms`` with integral Fraction coefficients stored as int."""
-    if Fraction in set(map(type, terms.values())):
-        for p, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[p] = c.numerator
-    return terms
-
-
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two term dicts.  Terms appear in the order of the double
-    loop over ``a`` then ``b``; a term that cancels is dropped at once."""
+    """Product of two numerator dicts; the denominators multiply.  Terms
+    appear in the order of the double loop over ``a`` then ``b``; a term
+    that cancels is dropped at once."""
     out = {}
     get = out.get
     for p1, c1 in a.items():
         for p2, c2 in b.items():
             p = p1 + p2
-            s = get(p)
-            if s is None:
-                # stored as is: adding it to 0 would cost a Fraction operation
-                out[p] = c1 * c2
-                continue
-            s += c1 * c2
+            s = get(p, 0) + c1 * c2
             if s:
                 out[p] = s
             else:
                 del out[p]
-    return _ints(_checked(out))
+    return _checked(out)
 
 
-def _add_into(out: dict, terms: dict):
-    """out += terms; a term that cancels is dropped at once."""
+def _add_into(out: dict, terms: dict, f: int):
+    """out += f * terms; a term that cancels is dropped at once."""
     get = out.get
     for p, c in terms.items():
-        s = get(p, 0) + c
+        s = get(p, 0) + c * f
         if s:
             out[p] = s
         else:
             del out[p]
+
+
+def _rescale(terms: dict, f: int):
+    """Multiply every numerator in ``terms`` by ``f``, in place, so the
+    term order stays."""
+    for p in terms:
+        terms[p] *= f
+
+
+def _reduced(terms: dict, den: int) -> "Expr":
+    """The Expr with numerators ``terms`` over ``den`` > 0, in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            for p in terms:
+                terms[p] //= g
+    return Expr(terms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +389,19 @@ def _add_into(out: dict, terms: dict):
 
 
 class Expr:
-    """Canonical polynomial over atoms: a dict from packed monomial to a
-    nonzero int or Fraction coefficient."""
+    """Canonical polynomial over atoms: ``_terms`` maps each packed
+    monomial to a nonzero ``int`` numerator over the one denominator
+    ``_den`` > 0, with ``gcd(_den, *numerators) == 1``.  So ``_den == 1``
+    when every coefficient is integral, zero is ``({}, 1)``, x/2 is
+    ``({x: 1}, 2)``, and equal values have equal ``_terms`` and ``_den``."""
 
-    __slots__ = ("_terms", "_key", "_hashval", "_plan")
+    __slots__ = ("_terms", "_den", "_key", "_hashval", "_plan")
 
-    def __init__(self, terms: dict):
-        # internal -- use the factory helpers below
+    def __init__(self, terms: dict, den: int = 1):
+        # internal -- use the factory helpers below; (terms, den) must
+        # already be in lowest terms (see _reduced)
         self._terms = terms
+        self._den = den
         self._key = None
         self._hashval = None
         self._plan = None
@@ -403,9 +409,11 @@ class Expr:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_rational(v: Scalar) -> "Expr":
-        c = _scalar(v)
-        return Expr({0: c} if c else {})
+    def from_rational(v) -> "Expr":
+        if type(v) is int:
+            return Expr({0: v} if v else {})
+        c = _as_fraction(v)
+        return Expr({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def from_atom(a: Atom) -> "Expr":
@@ -422,10 +430,11 @@ class Expr:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise NonPolynomialError(f"{self} is not a rational constant")
-        return Fraction(self._terms.get(0, 0))
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        items = [(_monomial(p), Fraction(c)) for p, c in self._terms.items()]
+        den = self._den
+        items = [(_monomial(p), Fraction(c, den)) for p, c in self._terms.items()]
         items.sort(key=lambda t: _monomial_sort_key(t[0]))
         return iter(items)
 
@@ -437,12 +446,15 @@ class Expr:
         return len(self._terms)
 
     def _canonical_key(self):
+        # coefficients by rational value: FuncApp.sort_key embeds this key
         if self._key is None:
+            den = self._den
             items = []
             for p, c in self._terms.items():
                 idx = _fields(p)
                 idx.sort(key=_KEYS.__getitem__)
-                items.append((tuple((_KEYS[i], _exponent(p, i)) for i in idx), c))
+                items.append((tuple((_KEYS[i], _exponent(p, i)) for i in idx),
+                              c if den == 1 else Fraction(c, den)))
             items.sort()
             self._key = tuple(items)
         return self._key
@@ -455,14 +467,16 @@ class Expr:
             return other
         if not other._terms:
             return self
-        terms = dict(self._terms)
-        _add_into(terms, other._terms)
-        return Expr(_ints(terms))
+        den = math.lcm(self._den, other._den)
+        f = den // self._den
+        terms = dict(self._terms) if f == 1 else {p: c * f for p, c in self._terms.items()}
+        _add_into(terms, other._terms, den // other._den)
+        return _reduced(terms, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self._terms.items()})
+        return Expr({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-as_expr(other))
@@ -474,7 +488,7 @@ class Expr:
         other = as_expr(other)
         if not self._terms or not other._terms:
             return ZERO
-        return Expr(_mul_terms(self._terms, other._terms))
+        return _reduced(_mul_terms(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -485,7 +499,10 @@ class Expr:
         c = _as_fraction(other)
         if c == 0:
             raise ZeroDivisionError("division by zero")
-        return Expr(_ints({m: v / c for m, v in self._terms.items()}))
+        n, d = c.numerator, c.denominator
+        if n < 0:
+            n, d = -n, -d
+        return _reduced({m: v * d for m, v in self._terms.items()}, self._den * n)
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -506,11 +523,11 @@ class Expr:
     # -- equality / hashing ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Expr):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == as_expr(other)._terms
-        return NotImplemented
+            other = as_expr(other)
+        elif not isinstance(other, Expr):
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hashval is None:
@@ -633,19 +650,30 @@ def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
     function application over its argument, and t, x and jet coordinates
     go to 0.  One pass: over monomials and their atoms (in atom order), the
     monomial with one power of the atom taken off times the atom's image."""
-    out: dict = {}
-    get = out.get
-    diffs: dict[int, dict] = {}  # atom index -> terms of its image
-    seen = 0  # fields of the atoms in diffs
-    live = 0  # fields of the atoms with a nonzero image
-    for p, c in e._terms.items():
+    terms = e._terms
+    diffs: dict[int, Expr] = {}  # atom index -> its nonzero image
+    seen = 0  # fields of the atoms whose image is known
+    for p in terms:  # images in order of first occurrence
         new = p & ~seen
         if new:
             for i in _fields(new):
-                diffs[i] = _atom_derivative(_ATOMS[i], image)._terms
+                d = _atom_derivative(_ATOMS[i], image)
+                if d._terms:
+                    diffs[i] = d
                 seen |= _FIELD[i]
-                if diffs[i]:
-                    live |= _FIELD[i]
+    if not diffs:
+        return ZERO
+    # each image's numerators over one common denominator, once
+    den = math.lcm(*(d._den for d in diffs.values()))
+    images = {}
+    live = 0  # fields of the atoms with a nonzero image
+    for i, d in diffs.items():
+        f = den // d._den
+        images[i] = d._terms.items() if f == 1 else [(q, c * f) for q, c in d._terms.items()]
+        live |= _FIELD[i]
+    out: dict = {}
+    get = out.get
+    for p, c in terms.items():
         hit = p & live
         if not hit:
             continue
@@ -655,14 +683,14 @@ def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
         for i in idx:
             base = p - (1 << _SHIFT[i])
             ck = c * _exponent(p, i)
-            for q, d in diffs[i].items():
+            for q, d in images[i]:
                 r = base + q
                 s = get(r, 0) + ck * d
                 if s:
                     out[r] = s
                 else:
                     del out[r]
-    return Expr(_ints(_checked(out)))
+    return _reduced(_checked(out), e._den * den)
 
 
 def _atom_derivative(a: Atom, image: Callable[[Atom], Expr | None]) -> Expr:
@@ -761,14 +789,16 @@ class SubstitutionMap:
 
     def _apply_once(self, e: Expr) -> Expr:
         # each monomial becomes its kept atoms times the replaced atoms'
-        # powers, multiplied in atom order, and is added into one dict
+        # powers, multiplied in atom order, and is added into one dict of
+        # numerators over e's denominator times den
         out: dict = {}
         get = out.get
+        den = 1
         mask = self._mask | _FUNC_MASK
         for p, c in e._terms.items():
             subs = [(i, rhs) for i in _fields(p & mask) if (rhs := self._replacement(i)) is not None]
             if not subs:
-                s = get(p, 0) + c
+                s = get(p, 0) + c * den
                 if s:
                     out[p] = s
                 else:
@@ -779,12 +809,18 @@ class SubstitutionMap:
             rest = p
             for i, _ in subs:
                 rest &= ~_FIELD[i]
-            prod = {rest: c}
+            prod, prod_den = {rest: c}, 1
             for i, rhs in subs:
                 k = _exponent(p, i)
-                prod = _mul_terms(prod, (rhs if k == 1 else rhs ** k)._terms)
-            _add_into(out, prod)
-        return Expr(_ints(out))
+                power = rhs if k == 1 else rhs ** k
+                prod = _mul_terms(prod, power._terms)
+                prod_den *= power._den
+            if den % prod_den:
+                f = prod_den // math.gcd(den, prod_den)
+                _rescale(out, f)
+                den *= f
+            _add_into(out, prod, den // prod_den)
+        return _reduced(out, e._den * den)
 
 
 def _nested_atoms(e: Expr) -> dict[Atom, None]:
@@ -800,7 +836,7 @@ def _nested_atoms(e: Expr) -> dict[Atom, None]:
 
 
 def _single_atom(e: Expr) -> Atom:
-    if len(e._terms) == 1:
+    if len(e._terms) == 1 and e._den == 1:
         (p, c), = e._terms.items()
         if c == 1 and p:
             i = _field_at(p.bit_length() - 1)
@@ -850,7 +886,7 @@ def collect_coefficients(e: Expr, variables: Iterable) -> dict[Expr, Expr]:
             group[rest] = s
         else:
             del group[rest]
-    return {Expr({vp: 1}): Expr(_ints(g)) for vp, g in groups.items() if g}
+    return {Expr({vp: 1}): _reduced(g, e._den) for vp, g in groups.items() if g}
 
 
 def powers_of(e: Expr, atom: Atom) -> dict[int, Expr]:
@@ -861,7 +897,7 @@ def powers_of(e: Expr, atom: Atom) -> dict[int, Expr]:
     parts: dict[int, dict] = {}
     for p, c in e._terms.items():
         parts.setdefault((p & field) >> shift, {})[p & ~field] = c
-    return {k: Expr(terms) for k, terms in parts.items()}
+    return {k: _reduced(terms, e._den) for k, terms in parts.items()}
 
 
 def coefficient_rows(exprs: Sequence[Expr]) -> list[list[Fraction]]:
@@ -869,7 +905,7 @@ def coefficient_rows(exprs: Sequence[Expr]) -> list[list[Fraction]]:
     occurring in any of them (in order of first occurrence), one column
     per expression."""
     monomials = dict.fromkeys(p for e in exprs for p in e._terms)
-    return [[Fraction(e._terms.get(p, 0)) for e in exprs] for p in monomials]
+    return [[Fraction(e._terms.get(p, 0), e._den) for e in exprs] for p in monomials]
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +923,16 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
     if p.is_zero():
         return ZERO
 
+    # p/d is (P/D) * (d's denominator / p's) for the numerator polynomials
+    # P and D.  P/D is found with the remainder's numerators over scale,
+    # which grows only when a leading coefficient is not a multiple of D's.
     key = _grlex_key(p, d)
     d_lead = max(d._terms, key=key)
     d_lc = d._terms[d_lead]
 
-    quotient: dict = {}
+    quotient: dict = {}  # monomial -> (numerator, scale when it was found)
     rem = dict(p._terms)
+    scale = 1
     while rem:
         p_lead = max(rem, key=key)
         # a field of p_lead below d_lead's borrows from the next field and
@@ -900,16 +940,23 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
         q_mon = p_lead - d_lead
         if q_mon < 0 or q_mon & _GUARD:
             raise InexactDivisionError("leading term not divisible")
-        q_coeff = Fraction(rem[p_lead], d_lc)
+        r = rem[p_lead]
+        if r % d_lc:
+            f = abs(d_lc) // math.gcd(r, d_lc)
+            _rescale(rem, f)
+            scale *= f
+            r *= f
+        b = r // d_lc
         # the leading monomial strictly decreases, so q_mon is new
-        quotient[q_mon] = q_coeff
-        for mon, c in _mul_terms({q_mon: q_coeff}, d._terms).items():
+        quotient[q_mon] = (b, scale)
+        for mon, c in _mul_terms({q_mon: b}, d._terms).items():
             s = rem.get(mon, 0) - c
             if s:
                 rem[mon] = s
             else:
                 del rem[mon]
-    return Expr(_ints(quotient))
+    return _reduced({m: b * (scale // at) * d._den for m, (b, at) in quotient.items()},
+                    scale * p._den)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +967,9 @@ def _float_terms(e: Expr) -> tuple:
     """(float coefficient, decoded monomial) per term of e, in term order;
     computed once per expression."""
     if e._plan is None:
-        e._plan = tuple((float(c), _monomial(p)) for p, c in e._terms.items())
+        # int / int is correctly rounded, as float(Fraction) is
+        den = e._den
+        e._plan = tuple((c / den, _monomial(p)) for p, c in e._terms.items())
     return e._plan
 
 

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from burgers_hierarchy.cli import main
+from burgers_hierarchy.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_REFERENCE = ROOT / "perfbench" / "reference" / "verify.json"
+EXACT_REFERENCE = ROOT / "perfbench" / "reference" / "exact.json"
 
 CATALOG_M1 = [
     {"kind": "sum", "terms": [
@@ -50,6 +51,10 @@ CATALOG_SINGULAR = [
         {"coeff": "2", "term": {"kind": "heat_polynomial", "degree": 1}},
     ]},
 ]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -168,6 +173,21 @@ class TestExact:
                      "--out-dir", str(tmp_path)]) == 0
         csv = (tmp_path / f"exact_m{m}.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == digest
+
+    def test_exact_matches_benchmark_reference(self, tmp_path, catalog):
+        # the hashes the benchmark's exact-certify checks for the acceptance
+        # catalogs, looked up by the benchmark's catalog key
+        reference = json.loads(EXACT_REFERENCE.read_text())
+        heat = [{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3, 4)]
+        for doc in (CATALOG_M1, CATALOG_COSH, CATALOG_M2, heat[:3], heat):
+            expected = reference[json.dumps(doc, sort_keys=True, separators=(",", ":"))]
+            m = len(doc)
+            assert main(["exact", "--m", str(m), "--catalog", catalog(doc), "--certify",
+                         "--no-meta", "--out-dir", str(tmp_path)]) == 0
+            out = json.loads((tmp_path / f"exact_m{m}.json").read_text())
+            assert out["certification"]["passed"] is True
+            assert sha256(out["determinant"]) == expected["determinant"]
+            assert [sha256(c["numerator"]) for c in out["components"]] == expected["numerators"]
 
     def test_negative_points_is_config_error(self, tmp_path, catalog):
         path = catalog(CATALOG_M2)
@@ -395,6 +415,25 @@ class TestReport:
 
     def test_bad_directory(self):
         assert main(["report", "--dir", "/nonexistent-dir-xyz"]) == 4
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, catalog):
+    build_parser.cache_clear()
+    exact = ["exact", "--m", "2", "--catalog", catalog(CATALOG_M2), "--points", "5", "--no-meta"]
+    assert main(exact + ["--box", "0.1", "1.0", "1.5", "3.0", "--out-dir", str(tmp_path / "box")]) == 0
+    assert main(exact + ["--out-dir", str(tmp_path / "default")]) == 0
+    assert main(["verify", "theorem", "--m", "1", "--no-meta",
+                 "--out-dir", str(tmp_path / "verify")]) == 0
+    assert build_parser.cache_info().misses == 1
+    # a freshly built parser gives the same bytes as the reused one
+    build_parser.cache_clear()
+    assert main(exact + ["--out-dir", str(tmp_path / "fresh")]) == 0
+    for name in ("exact_m2.json", "exact_m2.csv"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert (tmp_path / "box" / "exact_m2.csv").read_bytes() != \
+        (tmp_path / "default" / "exact_m2.csv").read_bytes()
+    assert build_parser().parse_args(exact).box == (0.1, 1.0, -3.0, 3.0)
+    assert not hasattr(build_parser().parse_args(["verify", "theorem", "--m", "1"]), "box")
 
 
 def test_unknown_subcommand_is_config_error():

@@ -5,7 +5,11 @@ Products of packed monomials are compared against a product over decoded
 (atom, exponent) monomials, and the ring axioms, the commutation of D_t
 and D_x, the Leibniz rule of :func:`derivation`, the action of a vector
 field against its sum of partial derivatives, and the render/parse round
-trip are checked on random polynomials.  ``SubstitutionMap`` takes independent rules, whose
+trip are checked on random polynomials.  The int-over-denominator
+coefficients are compared against a plain ``{decoded monomial: Fraction}``
+reference for every kernel operation on polynomials with rational
+coefficients, with the lowest-terms invariant checked after each one.
+``SubstitutionMap`` takes independent rules, whose
 right-hand sides hold no left-hand atom, and applies them in one pass;
 these tests compare that against the plain fixpoint of one-pass
 substitution on random independent rule sets, and check that random
@@ -20,6 +24,7 @@ Crank-Nicolson oracle on both boundaries.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,11 +46,15 @@ from burgers_hierarchy.symcore import (
     ZERO,
     Expr,
     FuncApp,
+    InexactDivisionError,
     JetCoord,
     SubstitutionMap,
+    _float_terms,
+    coefficient_rows,
     contains_atom,
     derivation,
     eval_expr,
+    exact_divide,
     exp,
     rational,
     total_derivative,
@@ -94,11 +103,24 @@ def poly_with_powers(draw, depth):
     return out
 
 
-def tuple_product(a: Expr, b: Expr) -> dict:
-    """a*b over decoded (atom, exponent) monomials: the reference."""
+# -- references over decoded monomials: {frozenset((atom, exponent)): Fraction}
+
+
+def reference(e: Expr) -> dict:
+    return {frozenset(mon): c for mon, c in e.terms()}
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for mon, c in b.items():
+        out[mon] = out.get(mon, 0) + sign * c
+    return {mon: c for mon, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
     out = {}
-    for m1, c1 in a.terms():
-        for m2, c2 in b.terms():
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             powers = dict(m1)
             for atom, k in m2:
                 powers[atom] = powers.get(atom, 0) + k
@@ -107,10 +129,38 @@ def tuple_product(a: Expr, b: Expr) -> dict:
     return {mon: c for mon, c in out.items() if c}
 
 
+def ref_pow(a: dict, n: int) -> dict:
+    out = {frozenset(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivation(a: dict, images: dict) -> dict:
+    out = {}
+    for mon, c in a.items():
+        for atom, k in mon:
+            if atom in images:
+                rest = frozenset((b, j - (b == atom)) for b, j in mon if b != atom or j > 1)
+                out = ref_add(out, ref_mul({rest: c * k}, images[atom]))
+    return out
+
+
+def ref_substitute(a: dict, rules: dict) -> dict:
+    out = {}
+    for mon, c in a.items():
+        prod = {frozenset((b, k) for b, k in mon if b not in rules): c}
+        for b, k in mon:
+            if b in rules:
+                prod = ref_mul(prod, ref_pow(rules[b], k))
+        out = ref_add(out, prod)
+    return out
+
+
 @PROPERTY
 @given(ring_elements(), ring_elements())
 def test_product_matches_tuple_reference(a, b):
-    assert {frozenset(mon): c for mon, c in (a * b).terms()} == tuple_product(a, b)
+    assert reference(a * b) == ref_mul(reference(a), reference(b))
 
 
 @PROPERTY
@@ -154,6 +204,134 @@ def test_total_derivatives_commute(e):
 @given(ring_elements())
 def test_render_parse_round_trip(e):
     assert parse_expr(e.render()) == e
+
+
+# -- int coefficients over one denominator, against the Fraction reference
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def rational_polys(draw, atoms=RING_ATOMS):
+    """(Expr, reference) for up to four terms c * monomial, c = n/d with
+    d in 1..12; the reference maps frozenset monomials to Fractions."""
+    e, ref = ZERO, {}
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(RATIONALS)
+        powers = {}
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            powers[a] = powers.get(a, 0) + draw(st.integers(1, 3))
+        term = Expr.from_rational(c)
+        for a, k in powers.items():
+            term = term * Expr.from_atom(a) ** k
+        e = e + term
+        ref = ref_add(ref, {frozenset(powers.items()): c})
+    return e, ref
+
+
+def assert_lowest_terms(e: Expr):
+    assert type(e._den) is int and e._den > 0
+    assert all(type(c) is int and c for c in e._terms.values())
+    # so _den == 1 when every coefficient is integral, and zero is ({}, 1)
+    assert math.gcd(e._den, *e._terms.values()) == 1
+
+
+def assert_matches(e: Expr, ref: dict):
+    assert_lowest_terms(e)
+    assert reference(e) == ref
+
+
+@PROPERTY
+@given(rational_polys(), rational_polys(), RATIONALS, st.integers(0, 3))
+def test_arithmetic_matches_fraction_reference(a_ref, b_ref, q, n):
+    (a, ra), (b, rb) = a_ref, b_ref
+    assert_matches(a, ra)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, rb, -1))
+    assert_matches(-a, ref_add({}, ra, -1))
+    assert_matches(a * b, ref_mul(ra, rb))
+    quotient = {mon: c / q for mon, c in ra.items()}
+    assert_matches(a / q, quotient)
+    assert_matches(a / Expr.from_rational(q), quotient)
+    assert_matches(a ** n, ref_pow(ra, n))
+    assert_matches(q * a + b, ref_add({mon: q * c for mon, c in ra.items()}, rb))
+
+
+@PROPERTY
+@given(rational_polys(),
+       st.dictionaries(st.sampled_from(RING_ATOMS), rational_polys(), max_size=3))
+def test_derivation_matches_fraction_reference(a_ref, images):
+    a, ra = a_ref
+    out = derivation(a, {atom: e for atom, (e, _) in images.items()}.get)
+    assert_matches(out, ref_derivation(ra, {atom: r for atom, (_, r) in images.items()}))
+
+
+@st.composite
+def rational_rules(draw):
+    """Rules for one to three jet coordinates, each right-hand side over t,
+    x and the other jet coordinates."""
+    order = draw(st.permutations(ATOMS))
+    k = draw(st.integers(1, 3))
+    free = [T_ATOM, X_ATOM] + list(order[k:])
+    return {atom: draw(rational_polys(free)) for atom in order[:k]}
+
+
+@PROPERTY
+@given(rational_polys(), rational_rules())
+def test_substitution_matches_fraction_reference(a_ref, rules):
+    a, ra = a_ref
+    out = SubstitutionMap({atom: e for atom, (e, _) in rules.items()}).apply(a)
+    assert_matches(out, ref_substitute(ra, {atom: r for atom, (_, r) in rules.items()}))
+
+
+@PROPERTY
+@given(rational_polys(), rational_polys())
+def test_exact_divide_matches_fraction_reference(q_ref, d_ref):
+    (q, rq), (d, rd) = q_ref, d_ref
+    assume(rd)
+    p = ZERO
+    for mon, c in ref_mul(rq, rd).items():  # q * d, built without the kernel's product
+        term = Expr.from_rational(c)
+        for atom, k in mon:
+            term = term * Expr.from_atom(atom) ** k
+        p = p + term
+    assert_matches(exact_divide(p, d), rq)
+    if not d.is_rational():
+        with pytest.raises(InexactDivisionError):
+            exact_divide(p + 1, d)
+
+
+@PROPERTY
+@given(rational_polys())
+def test_equal_values_have_one_representation(a_ref):
+    e, _ = a_ref
+    for other in ((e / 6) * 6, e + e - e, (e * 7) / 7, e / 2 + e * rational(1, 2)):
+        assert_lowest_terms(other)
+        assert other._terms == e._terms and other._den == e._den
+        assert other == e and hash(other) == hash(e)
+
+
+@PROPERTY
+@given(rational_polys(), rational_polys(), RATIONALS)
+def test_values_leaving_the_kernel_match_fraction_reference(a_ref, b_ref, q):
+    (a, ra), (b, rb) = a_ref, b_ref
+    # coefficient_rows: one row per monomial, one Fraction column per expression
+    rows = coefficient_rows([a, b])
+    assert all(type(v) is Fraction for row in rows for v in row)
+    assert sorted(map(tuple, rows)) == sorted(
+        (ra.get(mon, Fraction(0)), rb.get(mon, Fraction(0))) for mon in set(ra) | set(rb))
+    # as_rational
+    for c in (q, Fraction(0), Fraction(q.denominator)):
+        for e in (Expr.from_rational(c), a - a + c):
+            assert type(e.as_rational()) is Fraction and e.as_rational() == c
+    # the float plan rounds each coefficient as float(Fraction) does, also
+    # for numerators and denominators far past 2**53
+    big = Fraction(10 ** 30 + 1, 3 ** 40)
+    for e, ref in ((a, ra), (a * big, {mon: c * big for mon, c in ra.items()})):
+        plan = _float_terms(e)
+        assert len(plan) == len(ref)
+        assert {frozenset(mon): v.hex() for v, mon in plan} == \
+            {mon: float(c).hex() for mon, c in ref.items()}
 
 
 @st.composite

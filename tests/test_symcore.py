@@ -261,8 +261,9 @@ class TestTiersAndEval:
 
 
 class TestPackedKernel:
-    """Coefficients are ints when integral and Fractions otherwise; every
-    exponent stays inside its bit field of the packed monomial."""
+    """Coefficients are int numerators over one denominator in lowest
+    terms, and leave the kernel as Fractions; every exponent stays inside
+    its bit field of the packed monomial."""
 
     def test_int_and_fraction_coefficients_agree(self):
         for a, b in ((rational(4, 2) * U, 2 * U), (Fraction(6, 3) * U, U + U),
@@ -279,6 +280,18 @@ class TestPackedKernel:
         ns = rational_nullvector([3 * X, 2 * X])
         assert ns == [Fraction(-2, 3), Fraction(1)]
         assert all(type(c) is Fraction for c in ns)
+
+    def test_a_scaled_atom_is_not_an_atom(self):
+        # u/2 holds the single numerator 1, over the denominator 2
+        with pytest.raises(ValueError, match="not a single atom"):
+            SubstitutionMap([(U / 2, X)])
+        with pytest.raises(ValueError, match="not a single atom"):
+            collect_coefficients(U * UX, [U / 2])
+
+    def test_function_arguments_order_by_rational_value(self):
+        # exp(3x/4) sorts before exp(x) since 3/4 < 1, whatever the numerators
+        assert (exp(X) + exp(3 * X / 4)).render() == "exp(3/4*x) + exp(x)"
+        assert (exp(X / 2) + exp(X / 3)).render() == "exp(1/3*x) + exp(1/2*x)"
 
     def test_exponent_limits(self):
         assert (U ** 127).term_count() == 1
