@@ -91,7 +91,10 @@ class GridField:
     time: float
 
     def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        v = self.values
+        # a 2-D float64 ndarray is what the conversion would return as is
+        if not (type(v) is np.ndarray and v.ndim == 2 and v.dtype == np.float64):
+            self.values = np.atleast_2d(np.asarray(v, dtype=float))
 
     @property
     def m(self) -> int:

@@ -393,14 +393,12 @@ class ExactSolution:
         return [eval_expr(r.num, env) / eval_expr(r.den, env) for r in self.residuals()]
 
     def to_json_dict(self) -> dict:
+        det = self.det.render()
         return {
             "m": self.m,
             "heat_data": self.labels,
-            "determinant": self.det.render(),
-            "components": [
-                {"numerator": n.render(), "denominator": self.det.render()}
-                for n in self.numerators
-            ],
+            "determinant": det,
+            "components": [{"numerator": n.render(), "denominator": det} for n in self.numerators],
         }
 
 

@@ -20,10 +20,14 @@ field is a guard: exponents stay below 2**31 for t and x and below 2**7
 = 128 for other atoms.  Every result is checked once against the guard
 bits, and an exponent past its field raises ``OverflowError`` instead of
 wrapping into the neighbouring field.  A term dict keeps insertion
-order, and :func:`eval_expr` sums in that order; every operation adds
-terms in a fixed order (within a monomial, atoms by ``sort_key``), so
-float evaluation does not depend on the order in which atoms were
-interned.  No other module reads the packed format: they go through
+order, and every operation adds terms in a fixed order.
+:func:`eval_expr` works from a float layout cached on the expression:
+its distinct atoms in order of first occurrence, and its terms in term
+order, each a float coefficient with (atom position, exponent) pairs in
+the ``sort_key`` order of the atoms.  A call resolves each atom once and
+sums the terms from 0.0 in term order, so float evaluation does not
+depend on the order in which atoms were interned.  No other module reads
+the packed format: they go through
 :func:`collect_coefficients`, :func:`powers_of`,
 :func:`coefficient_rows` and :func:`exact_divide`.
 
@@ -963,30 +967,50 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
 # numeric evaluation
 
 
-def _float_terms(e: Expr) -> tuple:
-    """(float coefficient, decoded monomial) per term of e, in term order;
-    computed once per expression."""
+def _float_form(e: Expr) -> tuple:
+    """The float form of e, computed once per expression: its terms as
+    (float coefficient, decoded monomial) in term order, its distinct atoms
+    in order of first occurrence, and its terms again as (float
+    coefficient, ((atom position, exponent), ...))."""
     if e._plan is None:
         # int / int is correctly rounded, as float(Fraction) is
         den = e._den
-        e._plan = tuple((c / den, _monomial(p)) for p, c in e._terms.items())
+        terms = tuple((c / den, _monomial(p)) for p, c in e._terms.items())
+        position: dict = {}
+        indexed = tuple((c, tuple((position.setdefault(a, len(position)), k) for a, k in mon))
+                        for c, mon in terms)
+        e._plan = terms, tuple(position), indexed
     return e._plan
+
+
+def _float_terms(e: Expr) -> tuple:
+    """(float coefficient, decoded monomial) per term of e, in term order."""
+    return _float_form(e)[0]
+
+
+_MISSING = object()  # env.get's default: no value for the atom
 
 
 def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
     """Numeric (float64) evaluation; every atom must resolve through
-    ``env`` or be an elementary function of resolvable atoms."""
-
-    def atom_value(a: Atom) -> float:
-        if a in env:
-            return float(env[a])
-        if isinstance(a, FuncApp):
-            return _FUNC_EVAL[a.fname](eval_expr(a.arg, env))
-        raise SymbolicError(f"no numeric value for atom {a.render()}")
-
+    ``env`` or be an elementary function of resolvable atoms.  Each
+    distinct atom is resolved once per call, in order of first occurrence,
+    so a missing atom raises before any term is computed; then each term
+    is ``c * v_a ** k_a * v_b ** k_b ...`` from left to right, added to
+    0.0 in term order."""
+    _, atoms, terms = e._plan or _float_form(e)  # the cached form without a call
+    values = []
+    for a in atoms:
+        v = env.get(a, _MISSING)  # one hash of the atom, where `in` and [] take two
+        if v is not _MISSING:
+            values.append(float(v))
+        elif isinstance(a, FuncApp):
+            values.append(_FUNC_EVAL[a.fname](eval_expr(a.arg, env)))
+        else:
+            raise SymbolicError(f"no numeric value for atom {a.render()}")
     total = 0.0
-    for val, mon in _float_terms(e):
-        for a, k in mon:
-            val *= atom_value(a) ** k
+    for val, factors in terms:
+        for i, k in factors:
+            val *= values[i] ** k
         total += val
     return total

@@ -174,6 +174,25 @@ class TestExact:
         csv = (tmp_path / f"exact_m{m}.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == digest
 
+    @pytest.mark.parametrize("doc, digest", [
+        ([{"kind": "sum", "terms": [{"coeff": "3/2", "term": {"kind": "heat_polynomial", "degree": 16}}]},
+          {"kind": "sum", "terms": [{"coeff": "3", "term": {"kind": "heat_polynomial", "degree": 19}}]}],
+         "88c5a040dd2f87f66d92f1188b8ff80b3a4c87c9eac7c58243fe282bdea17ed6"),
+        ([{"kind": "sum", "terms": [{"coeff": "1/2", "term": {"kind": "heat_polynomial", "degree": 6}}]},
+          {"kind": "sum", "terms": [{"coeff": "1/4", "term": {"kind": "heat_polynomial", "degree": 8}}]},
+          {"kind": "sum", "terms": [{"coeff": "1/2", "term": {"kind": "heat_polynomial", "degree": 9}}]},
+          {"kind": "sum", "terms": [{"coeff": "1/2", "term": {"kind": "heat_polynomial", "degree": 11}}]}],
+         "c27af4849c85c927721cc60573de4153e923d502554ed0d89078f5502d6d90bd"),
+    ], ids=["P16-P19", "P6-P8-P9-P11"])
+    def test_large_catalog_csv_pinned(self, tmp_path, catalog, doc, digest):
+        # the guard-selected points and the values of large polynomials at
+        # the default 100 points in the default box
+        m = len(doc)
+        assert main(["exact", "--m", str(m), "--catalog", catalog(doc), "--no-meta",
+                     "--out-dir", str(tmp_path)]) == 0
+        csv = (tmp_path / f"exact_m{m}.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == digest
+
     def test_exact_matches_benchmark_reference(self, tmp_path, catalog):
         # the hashes the benchmark's exact-certify checks for the acceptance
         # catalogs, looked up by the benchmark's catalog key

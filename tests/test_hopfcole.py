@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from burgers_hierarchy import hopfcole
+from burgers_hierarchy import hopfcole, symcore
 from burgers_hierarchy.hopfcole import (
     CertificationError,
     HeatSolution,
@@ -254,6 +254,30 @@ class TestBenchmarkTracerNames:
             for r in sol.residuals():
                 assert isinstance(r.num, Expr) and isinstance(r.den, Expr)
             assert certify(sol).mode in {"symbolic", "numeric"}
+
+    @pytest.mark.parametrize("doc, calls", [
+        ([{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3)], 200),
+        ([{"kind": "gaussian", "t0": "1/2"},
+          {"kind": "sum", "terms": [{"coeff": "1", "term": {"kind": "gaussian", "t0": "3"}},
+                                    {"coeff": "2", "term": {"kind": "constant", "value": "1"}}]}],
+         140),
+        ([{"kind": "exponential", "a": "1", "sign": 1}, {"kind": "trig", "a": "2", "func": "sin"},
+          {"kind": "heat_polynomial", "degree": 3}], 280),
+    ], ids=["heatpoly-m3", "gaussian", "exp-sin"])
+    def test_guard_eval_expr_calls(self, monkeypatch, doc, calls):
+        # the tracer counts eval_expr by attribute: one call per matrix entry
+        # and one for det per draw, one per function atom's argument in _env
+        counted = [0]
+        fn = symcore.eval_expr
+
+        def counting(*args):
+            counted[0] += 1
+            return fn(*args)
+
+        for mod in (symcore, hopfcole):
+            monkeypatch.setattr(mod, "eval_expr", counting)
+        sample_points(solve_exact(len(doc), catalog_from_json(doc)), 20)
+        assert counted[0] == calls
 
 
 class TestInvariances:

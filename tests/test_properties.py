@@ -18,7 +18,10 @@ cycles, directly or inside exp()) are rejected.  The
 fraction-free determinant is compared against cofactor expansion.  Every
 nonsingular catalog drawn from the heat-data grammar certifies
 symbolically, and its compiled float plan (``ExactSolution.evaluate``)
-equals ``eval_expr`` on the point's environment bit for bit.  A
+equals ``eval_expr`` on the point's environment bit for bit.
+``eval_expr``, which resolves each distinct atom once per call, equals a
+per-occurrence oracle bit for bit on random polynomials with nested
+function applications.  A
 finite-difference step that needs several CFL substeps matches the dense
 Crank-Nicolson oracle on both boundaries.
 """
@@ -49,7 +52,10 @@ from burgers_hierarchy.symcore import (
     InexactDivisionError,
     JetCoord,
     SubstitutionMap,
+    SymbolicError,
+    _FUNC_EVAL,
     _float_terms,
+    _nested_atoms,
     coefficient_rows,
     contains_atom,
     derivation,
@@ -60,7 +66,7 @@ from burgers_hierarchy.symcore import (
     total_derivative,
 )
 from test_fdsolve import assert_close_to_oracle, dense_substep, moving_boundary
-from tests_support import reference_apply
+from tests_support import reference_apply, reference_eval_expr
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -528,6 +534,66 @@ def test_float_plan_matches_eval_expr(catalog, points, t_int, x_int):
         assert bits(sol.evaluate(np.float64(t), np.float64(x))) == bits(sol.evaluate(t, x))
     if eval_expr(sol.det, sol._env(t_int, x_int)) != 0.0:
         assert bits(sol.evaluate(t_int, x_int)) == bits(sol.evaluate(float(t_int), float(x_int)))
+
+
+EVAL_ATOMS = [T_ATOM, X_ATOM, JetCoord(1, 1), JetCoord(1, 1, nx=1)]
+ENV_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.integers(-3, 3),
+    st.floats(-2.0, 2.0).map(np.float64))
+
+
+@st.composite
+def funcapp_polys(draw, depth=2):
+    """Up to four terms c * monomial over EVAL_ATOMS and one or two
+    function applications, whose arguments are drawn the same way one
+    level down (none at depth 0); exponents up to 3, so atoms repeat
+    within and across terms."""
+    factors = [Expr.from_atom(a) for a in EVAL_ATOMS]
+    for _ in range(draw(st.integers(1, 2)) if depth else 0):
+        arg = draw(funcapp_polys(depth - 1))
+        factors.append(Expr.from_atom(FuncApp(draw(st.sampled_from(sorted(_FUNC_EVAL))), arg)))
+    e = ZERO
+    for _ in range(draw(st.integers(0, 4))):
+        term = Expr.from_rational(draw(RATIONALS))
+        for f in draw(st.lists(st.sampled_from(factors), max_size=3)):
+            term = term * f ** draw(st.integers(1, 3))
+        e = e + term
+    return e
+
+
+def eval_outcome(fn, e, env):
+    """The float's hex, or the type and message of what fn raised."""
+    try:
+        v = fn(e, env)
+    except (ArithmeticError, ValueError, SymbolicError) as exc:
+        return type(exc), str(exc)
+    assert type(v) is float
+    return v.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(funcapp_polys(), st.data())
+def test_eval_expr_matches_per_occurrence_oracle(e, data):
+    """eval_expr resolves each distinct atom once per call; the oracle
+    looks every occurrence up again.  Values agree bit for bit whether a
+    function application is given in env or evaluated from its argument,
+    for env values -0.0, inf, nan, int and np.float64, and a missing atom
+    raises the same SymbolicError.  Atoms resolve before any term is
+    computed, so when a power overflows the one difference allowed is
+    that a later atom's error may be raised instead."""
+    env = {}
+    for a in _nested_atoms(e):
+        # function applications stay out of env half the time, other atoms one time in eight
+        if data.draw(st.booleans() if isinstance(a, FuncApp) else st.integers(0, 7).map(bool)):
+            env[a] = data.draw(ENV_VALUES)
+    expected = eval_outcome(reference_eval_expr, e, env)
+    got = eval_outcome(eval_expr, e, env)
+    if isinstance(expected, tuple) and expected[0] is OverflowError:
+        assert isinstance(got, tuple)
+    else:
+        assert got == expected
 
 
 @PROPERTY

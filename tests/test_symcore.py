@@ -2,19 +2,23 @@
 substitution, coefficient collection."""
 
 from fractions import Fraction
+import math
 import random
 
+import numpy as np
 import pytest
 
 from burgers_hierarchy import cli, prolong
 from burgers_hierarchy.linalg import exact_divide, rational_nullvector
 from burgers_hierarchy.symcore import (
     Expr,
+    FuncApp,
     JetCoord,
     NonPolynomialError,
     ONE,
     OpaqueSymbol,
     SubstitutionMap,
+    SymbolicError,
     T,
     T_ATOM,
     X,
@@ -32,6 +36,7 @@ from burgers_hierarchy.symcore import (
     tanh,
     total_derivative,
 )
+from tests_support import reference_eval_expr
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
@@ -251,9 +256,33 @@ class TestTiersAndEval:
 
     def test_eval(self):
         e = 2 * T + X ** 2 + exp(X)
-        import math
-
         assert eval_expr(e, {T_ATOM: 0.5, X_ATOM: 2.0}) == pytest.approx(1 + 4 + math.exp(2))
+
+    def test_eval_matches_per_occurrence_oracle(self):
+        u, ux = JetCoord(1, 1), JetCoord(1, 1, nx=1)
+        inner = FuncApp("exp", T * U + X)
+        outer = FuncApp("sin", X - 2 * Expr.from_atom(inner))  # a function of a function
+        e = (3 * Expr.from_atom(outer) ** 2 * U - rational(1, 3) * Expr.from_atom(inner) * U ** 3
+             + Expr.from_atom(outer) * T + UX)
+        envs = [
+            {T_ATOM: 0.5, X_ATOM: -0.0, u: 2, ux: np.float64(-1.5)},
+            {T_ATOM: np.float64(0.25), X_ATOM: 1.0, u: -0.0, ux: math.nan},
+            {T_ATOM: 0.5, X_ATOM: 2.0, u: -math.inf, ux: 0.0},
+        ]
+        for env in envs:
+            for given in ({}, {inner: 7}, {outer: -0.0}):
+                full = {**env, **given}
+                assert eval_expr(e, full).hex() == reference_eval_expr(e, full).hex()
+
+    def test_eval_missing_atom(self):
+        # the first atom in term order without a value is named
+        e = T * U + exp(X) * UX
+        known = {T_ATOM: 1.0, JetCoord(1, 1): 2.0, JetCoord(1, 1, nx=1): 3.0}
+        for env, name in (({T_ATOM: 1.0}, "u[1,1]"), (known, "x")):
+            for fn in (eval_expr, reference_eval_expr):
+                with pytest.raises(SymbolicError) as err:
+                    fn(e, env)
+                assert str(err.value) == f"no numeric value for atom {name}"
 
     def test_render_deterministic(self):
         e = (U + X) ** 2 - exp(T)

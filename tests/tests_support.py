@@ -1,13 +1,17 @@
 """Shared helpers for the test suite."""
 
 from burgers_hierarchy.symcore import (
+    FuncApp,
     JetCoord,
     OpaqueSymbol,
+    SymbolicError,
     T,
     T_ATOM,
     X,
     X_ATOM,
     ZERO,
+    _FUNC_EVAL,
+    _float_terms,
     exp,
     jet,
     partial_derivative,
@@ -67,3 +71,24 @@ def reference_prolonged_apply(pf, e):
                              (pf.eta_xx[a - 1], JetCoord(k, a, nx=2))):
             out = out + coeff * partial_derivative(e, coord)
     return out
+
+
+def reference_eval_expr(e, env):
+    """Per-occurrence oracle for ``eval_expr``: every occurrence of an atom
+    in every term looks the atom up in env again (a function application
+    absent from env is evaluated again), and each term is
+    c * v_a ** k_a * v_b ** k_b ..., added to 0.0 in term order."""
+
+    def atom_value(a):
+        if a in env:
+            return float(env[a])
+        if isinstance(a, FuncApp):
+            return _FUNC_EVAL[a.fname](reference_eval_expr(a.arg, env))
+        raise SymbolicError(f"no numeric value for atom {a.render()}")
+
+    total = 0.0
+    for val, mon in _float_terms(e):
+        for a, k in mon:
+            val *= atom_value(a) ** k
+        total += val
+    return total
