@@ -18,7 +18,7 @@ from .hierarchy import (
     matrix_burgers_residual,
 )
 from .prolong import verify_kappa_constraint, verify_theorem
-from .liealg import generators, isomorphism_check, structure_constants
+from .liealg import generators, structure_constants
 from .hopfcole import (
     HeatSolution,
     certify,

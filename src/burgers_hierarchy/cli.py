@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -239,6 +240,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if not math.isfinite(args.t_start):
+        raise ConfigError(f"--t-start must be finite, got {args.t_start}")
     offsets = args.snapshots or []
     if any(not 0 <= s <= args.t_end for s in offsets):
         raise ConfigError(f"--snapshots must lie in [0, --t-end={args.t_end}]")

@@ -233,6 +233,8 @@ def solve_ivp(
     if initial.m != m:
         raise ValueError(f"initial data has {initial.m} components, expected {m}")
     times = sorted(set(snapshot_times or [])) or [grid.t_end]
+    if not all(map(math.isfinite, (initial.time, *times))):
+        raise ValueError(f"initial time {initial.time} and snapshot times {times} must be finite")
     if times[0] < initial.time:
         raise ValueError(f"snapshot t={times[0]} precedes the initial t={initial.time}")
     # each step checks its output, so the input is checked once, here
@@ -327,6 +329,8 @@ def convergence_study(
         raise ValueError(f"a convergence ladder needs increasing nx, got {list(nx_list)}")
     if not t_end > 0:
         raise ValueError(f"a convergence study needs t_end > 0, got {t_end}")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     dxs = [(x_max - x_min) / (nx - 1) for nx in nx_list]
     entries = []
     for nx, dx in zip(nx_list, dxs):

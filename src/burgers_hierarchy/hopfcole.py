@@ -189,6 +189,13 @@ def catalog_from_json(doc: list) -> list[HeatSolution]:
     return [_entry_from_json(rec) for rec in doc]
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it is: ``int()`` would truncate 2.5 and read true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _entry_from_json(rec: dict) -> HeatSolution:
     if not isinstance(rec, dict):
         raise ValueError(f"a catalog record is an object, got {rec!r}")
@@ -196,11 +203,11 @@ def _entry_from_json(rec: dict) -> HeatSolution:
     if kind == "constant":
         return heat_constant(rec["value"])
     if kind == "exponential":
-        return heat_exponential(rec["a"], int(rec.get("sign", 1)))
+        return heat_exponential(rec["a"], _json_int(rec.get("sign", 1)))
     if kind == "trig":
         return heat_trig(rec["a"], rec.get("func", "sin"))
     if kind == "heat_polynomial":
-        return heat_polynomial(int(rec["degree"]))
+        return heat_polynomial(_json_int(rec["degree"]))
     if kind == "gaussian":
         return heat_gaussian(rec["t0"])
     if kind == "sum":

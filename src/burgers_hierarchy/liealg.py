@@ -4,9 +4,11 @@ Every member of the family admits five generators -- time and space
 translation, scaling, a Galilean boost, and a projective transformation
 -- given by one closed form in m.  All the five-dimensional algebras
 close with the same rational structure constants, kept as a sparse map
-from each bracket [Xi_i, Xi_j], i < j, to its nonzero coefficients.  The
-cross-m isomorphism is checked as equality of these maps in the given
-bases (stronger than, and implying, abstract isomorphism).
+from each bracket [Xi_i, Xi_j], i < j, to its nonzero coefficients, which
+one sparse exact elimination (:func:`~burgers_hierarchy.linalg.rref`)
+yields for all brackets at once.  The cross-m isomorphism is checked as
+equality of these maps in the given bases (stronger than, and implying,
+abstract isomorphism).
 """
 
 from __future__ import annotations
@@ -60,24 +62,24 @@ def commutator(a: VectorField, b: VectorField) -> VectorField:
 
 
 def _expand_in_basis(targets: list[VectorField],
-                     basis: list[VectorField]) -> list[list[Fraction]]:
-    """Exact rational coordinates of each target in the basis, from one
+                     basis: list[VectorField]) -> list[dict[int, Fraction]]:
+    """Exact rational coordinates of each target in the basis, as
+    {k: c} over the 1-based basis index k with c != 0, from one sparse
     elimination with one right-hand column per target, or raise."""
     n = len(basis)
-    rows: list[list[Fraction]] = []  # basis coefficients, then the targets'
+    rows: list[dict[int, Fraction]] = []  # basis columns 0..n-1, then the targets'
     for comps in zip(*((f.tau, f.xi, *f.etas) for f in [*basis, *targets])):
         rows.extend(coefficient_rows(comps))
 
     # exact elimination on the (overdetermined) system; rows past the
-    # rank are zero on the basis side and must be zero in every target
+    # rank hold no basis column and must hold no target column either
     aug, pivots = rref(rows, n)
     for col, target in enumerate(targets, start=n):
-        if any(row[col] != 0 for row in aug[len(pivots):]):
+        if any(col in row for row in aug[len(pivots):]):
             raise NonClosureError(
                 f"{target.name} does not lie in the span of the generators"
             )
-    reduced = dict(zip(pivots, aug))  # pivot column -> its row
-    return [[reduced[c][col] if c in reduced else Fraction(0) for c in range(n)]
+    return [{k + 1: row[col] for k, row in zip(pivots, aug) if col in row}
             for col in range(n, n + len(targets))]
 
 
@@ -160,26 +162,5 @@ def structure_constants(m: int) -> StructureConstants:
     coords = _expand_in_basis(
         [commutator(basis[i - 1], basis[j - 1]) for i, j in pairs], basis
     )
-    brackets = {}
-    for pair, sol in zip(pairs, coords):
-        combo = {k: c for k, c in enumerate(sol, start=1) if c != 0}
-        if combo:
-            brackets[pair] = combo
+    brackets = {pair: combo for pair, combo in zip(pairs, coords) if combo}
     return StructureConstants(m, len(basis), brackets)
-
-
-@dataclass(frozen=True)
-class IsomorphismReport:
-    m1: int
-    m2: int
-    identical: bool
-
-    def to_json_dict(self) -> dict:
-        return {"m1": self.m1, "m2": self.m2, "identical_tables": self.identical}
-
-
-def isomorphism_check(m1: int, m2: int) -> IsomorphismReport:
-    """Comparison of the two sparse structure-constant maps."""
-    t1 = structure_constants(m1)
-    t2 = structure_constants(m2)
-    return IsomorphismReport(m1, m2, t1.brackets == t2.brackets)

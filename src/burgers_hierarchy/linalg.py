@@ -3,7 +3,9 @@
 Fraction-free (Bareiss) elimination keeps every intermediate entry a
 polynomial; the one division it performs per step is exact by
 construction and is carried out by the kernel's multivariate long
-division (:func:`symcore.exact_divide`, re-exported here).
+division (:func:`symcore.exact_divide`, re-exported here).  Rational
+Gauss-Jordan reduction (:func:`rref`) works on sparse rows and never
+stores or subtracts a zero entry.
 """
 
 from __future__ import annotations
@@ -55,25 +57,31 @@ def cramer_solve(matrix: list[list[Expr]], rhs: list[Expr]) -> tuple[Expr, list[
     return det, numerators
 
 
-def rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact Gauss-Jordan reduction of ``rows``, pivoting in the first
+def rref(rows: list[dict[int, Fraction]],
+         ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Exact Gauss-Jordan reduction of sparse ``rows`` ({column: nonzero
+    entry}, as :func:`coefficient_rows` gives), pivoting in the first
     ``ncols`` columns only (later columns ride along, e.g. a right-hand
-    side).  Returns the reduced rows and the pivot columns; pivot r sits
-    in row r, and rows from len(pivots) on are zero in the first ncols."""
-    aug = [row[:] for row in rows]
+    side), without modifying ``rows``.  Returns the reduced rows, again
+    sparse, and the pivot columns; pivot r sits in row r, and rows from
+    len(pivots) on hold no column below ncols."""
+    aug = [dict(row) for row in rows]
     pivots: list[int] = []
     for col in range(ncols):
         r0 = len(pivots)
-        piv = next((r for r in range(r0, len(aug)) if aug[r][col] != 0), None)
+        piv = next((r for r in range(r0, len(aug)) if col in aug[r]), None)
         if piv is None:
             continue
         aug[r0], aug[piv] = aug[piv], aug[r0]
         pv = aug[r0][col]
-        aug[r0] = [v / pv for v in aug[r0]]
-        for r in range(len(aug)):
-            if r != r0 and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[r0])]
+        prow = aug[r0] = {c: v / pv for c, v in aug[r0].items()}
+        for row in aug:
+            f = row.get(col)
+            if f is not None and row is not prow:
+                for c, w in prow.items():
+                    row[c] = row.get(c, 0) - f * w
+                    if not row[c]:
+                        del row[c]
         pivots.append(col)
     return aug, pivots
 
@@ -89,6 +97,6 @@ def rational_nullvector(vectors: list[Expr]) -> list[Fraction] | None:
     c0 = free[0]
     sol = [Fraction(0)] * n
     sol[c0] = Fraction(1)
-    for r, col in enumerate(pivots):
-        sol[col] = -aug[r][c0]
+    for row, col in zip(aug, pivots):
+        sol[col] = -row.get(c0, Fraction(0))
     return sol

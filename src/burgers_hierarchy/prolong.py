@@ -11,10 +11,9 @@ u_a,t, u_a,x and u_a,xx, so only their coefficients eta^t, eta^x and
 eta^xx are prolonged.  The prolonged field acts as one derivation (see
 :func:`~burgers_hierarchy.symcore.derivation`), given by the images of
 atoms: t, x and u_a go to tau, xi and eta_a, and u_a,t, u_a,x and u_a,xx
-to eta^t, eta^x and eta^xx.  Two independent prolongation code paths are
-provided -- the characteristic form and the direct coefficient
-recursion -- and are cross-checked in the test suite; a mismatch fails
-the build.
+to eta^t, eta^x and eta^xx.  The prolongation uses the characteristic
+form; the test suite cross-checks it against the direct coefficient
+recursion.
 """
 
 from __future__ import annotations
@@ -117,20 +116,6 @@ def prolong2(field: VectorField) -> ProlongedField:
         eta_t.append(_dt(w) + tau * jet(k, a, nt=2) + xi * jet(k, a, 1, 1))
         eta_x.append(dxw + tau * jet(k, a, 1, 1) + xi * jet(k, a, nx=2))
         eta_xx.append(_dx(dxw) + tau * jet(k, a, 1, 2) + xi * jet(k, a, nx=3))
-    return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
-
-
-def prolong2_direct(field: VectorField) -> ProlongedField:
-    """Direct coefficient recursion,
-    eta^{J,i} = D_i(eta^J) - D_i(tau)*u_{a,J,t} - D_i(xi)*u_{a,J,x},
-    kept as an independent path for cross-checking."""
-    k, tau, xi = field.tier, field.tau, field.xi
-    eta_t, eta_x, eta_xx = [], [], []
-    for a, eta in enumerate(field.etas, start=1):
-        ex = _dx(eta) - _dx(tau) * jet(k, a, nt=1) - _dx(xi) * jet(k, a, nx=1)
-        eta_t.append(_dt(eta) - _dt(tau) * jet(k, a, nt=1) - _dt(xi) * jet(k, a, nx=1))
-        eta_x.append(ex)
-        eta_xx.append(_dx(ex) - _dx(tau) * jet(k, a, 1, 1) - _dx(xi) * jet(k, a, nx=2))
     return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
 
 

@@ -43,9 +43,10 @@ only and each value has one representation; each result is reduced once,
 by one ``math.gcd`` call (none when the denominator is 1).  A
 ``fractions.Fraction`` is built only where a coefficient leaves the
 kernel: :meth:`Expr.terms`, :meth:`Expr.as_rational`,
-:func:`coefficient_rows`, rendering and the canonical key.  Expressions
-are immutable and hashable, hence safe to share between threads; the
-atom registry only grows, under a lock.
+:func:`coefficient_rows` (sparse rows, one Fraction per nonzero
+coefficient and none for a zero), rendering and the canonical key.
+Expressions are immutable and hashable, hence safe to share between
+threads; the atom registry only grows, under a lock.
 
 The tier label of a jet coordinate (the superscript used when several
 families of dependent variables coexist) participates in atom identity:
@@ -904,12 +905,15 @@ def powers_of(e: Expr, atom: Atom) -> dict[int, Expr]:
     return {k: _reduced(terms, e._den) for k, terms in parts.items()}
 
 
-def coefficient_rows(exprs: Sequence[Expr]) -> list[list[Fraction]]:
-    """The coefficients of ``exprs`` as a matrix: one row per monomial
-    occurring in any of them (in order of first occurrence), one column
-    per expression."""
-    monomials = dict.fromkeys(p for e in exprs for p in e._terms)
-    return [[Fraction(e._terms.get(p, 0), e._den) for e in exprs] for p in monomials]
+def coefficient_rows(exprs: Sequence[Expr]) -> list[dict[int, Fraction]]:
+    """The coefficients of ``exprs`` as sparse rows, one per monomial in
+    any of them (in order of first occurrence): {k: the monomial's
+    coefficient in exprs[k]}, for the k where that is nonzero."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for k, e in enumerate(exprs):
+        for p, c in e._terms.items():
+            rows.setdefault(p, {})[k] = Fraction(c, e._den)
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------

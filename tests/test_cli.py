@@ -364,6 +364,10 @@ class TestSolveAndConvergence:
         ("solve", ["--dt", "nan"]),
         ("solve", ["--x-min=-inf"]),
         ("convergence", ["--dt-scale", "inf"]),
+        ("solve", ["--t-start", "inf"]),  # used to take no step and exit 0
+        ("solve", ["--t-start", "nan"]),  # used to exit 3
+        ("convergence", ["--t-start", "inf"]),
+        ("convergence", ["--t-start", "nan"]),
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, catalog, capsys,
                                                 command, bad):
@@ -390,7 +394,8 @@ class TestSolveAndConvergence:
     {"kind": "heat_polynomial", "degree": 1},  # an object, not a list
     [1],
     [{"kind": "sum", "terms": [{"coeff": "1", "term": "constant"}]}],
-], ids=["object", "int-entry", "string-term"])
+    [{"kind": "heat_polynomial", "degree": 2.5}],
+], ids=["object", "int-entry", "string-term", "float-degree"])
 @pytest.mark.parametrize("command", [
     ["exact"],
     ["solve", "--x-min", "2", "--x-max", "4", "--t-end", "0.01"],

@@ -352,6 +352,14 @@ class TestStepDt:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step(GridField(vals, 0.0), grid, dt=dt)
 
+    @pytest.mark.parametrize("t0, snapshots", [(math.inf, [math.inf]), (math.nan, [0.1]),
+                                               (0.0, [math.inf]), (0.0, [0.05, math.nan])])
+    def test_non_finite_times_rejected(self, t0, snapshots):
+        grid = Grid1D(0.0, 1.0, 16, 1e-2, 0.1, boundary="periodic")
+        vals = np.random.default_rng(3).uniform(-0.5, 0.5, (2, 16))
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_ivp(2, GridField(vals, t0), grid, snapshots)
+
 
 class TestConvergence:
     def test_single_component_order_two(self):

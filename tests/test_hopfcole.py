@@ -85,6 +85,16 @@ class TestHeatCatalog:
         with pytest.raises(ValueError):
             catalog_from_json([{"kind": "mystery"}])
 
+    @pytest.mark.parametrize("rec", [
+        {"kind": "heat_polynomial", "degree": 2.5},  # used to become heatpoly(2)
+        {"kind": "heat_polynomial", "degree": True},
+        {"kind": "exponential", "a": "1", "sign": 1.5},  # used to become +1
+        {"kind": "exponential", "a": "1", "sign": True},
+    ])
+    def test_catalog_integers_are_json_integers(self, rec):
+        with pytest.raises(ValueError, match="expected an integer"):
+            catalog_from_json([rec])
+
 
 class TestLinearSystem:
     def test_single_row_is_classical_transform(self):
@@ -122,6 +132,12 @@ class TestLinearSystem:
         with pytest.raises(SingularSystemError) as err:
             solve_exact(2, [HeatSolution(X), HeatSolution(3 * X)])
         assert err.value.witness is not None
+        p2 = heat_polynomial(2)
+        with pytest.raises(SingularSystemError) as err:
+            solve_exact(2, [p2, heat_sum([(3, p2)])])
+        assert err.value.witness == [-3, 1]
+        assert all(type(c) is Fraction for c in err.value.witness)
+        assert str(err.value).endswith("(-3)*v1 + (1)*v2 = 0")
 
     def test_wrong_catalog_length(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from burgers_hierarchy.liealg import (
     _expand_in_basis,
     commutator,
     generators,
-    isomorphism_check,
     structure_constants,
 )
 from burgers_hierarchy.prolong import verify_classical
@@ -193,17 +192,6 @@ def dense_jacobi_residual(table) -> Fraction:
         total += abs(sum(c[i, j, l] * c[l, k, s] + c[j, k, l] * c[l, i, s]
                          + c[k, i, l] * c[l, j, s] for l in idx))
     return total
-
-
-class TestIsomorphism:
-    def test_pair_vs_single(self):
-        assert isomorphism_check(1, 2).identical
-
-    def test_reflexive(self):
-        assert isomorphism_check(1, 1).identical
-
-    def test_triple_vs_sextuple(self):
-        assert isomorphism_check(3, 6).identical
 
 
 class TestClassicalInvariance:

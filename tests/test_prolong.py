@@ -21,7 +21,6 @@ from burgers_hierarchy.prolong import (
     kappa_poly_coefficients,
     manifold_rules,
     prolong2,
-    prolong2_direct,
     verify_classical,
     verify_kappa_constraint,
     verify_theorem,
@@ -39,7 +38,7 @@ from burgers_hierarchy.symcore import (
     jet,
     sin,
 )
-from tests_support import reference_apply, reference_prolonged_apply
+from tests_support import prolong2_direct, reference_apply, reference_prolonged_apply
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)

@@ -21,7 +21,9 @@ symbolically, and its compiled float plan (``ExactSolution.evaluate``)
 equals ``eval_expr`` on the point's environment bit for bit.
 ``eval_expr``, which resolves each distinct atom once per call, equals a
 per-occurrence oracle bit for bit on random polynomials with nested
-function applications.  A
+function applications.  The sparse ``rref`` equals a dense Gauss-Jordan
+reference on random rational matrices with zero columns, repeated rows
+and rank deficiency, and leaves its input unmodified.  A
 finite-difference step that needs several CFL substeps matches the dense
 Crank-Nicolson oracle on both boundaries.
 """
@@ -33,12 +35,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from burgers_hierarchy.fdsolve import C_ADV, Grid1D, GridField, step
 from burgers_hierarchy.hierarchy import VectorField
 from burgers_hierarchy.hopfcole import SingularSystemError, catalog_from_json, certify, solve_exact
-from burgers_hierarchy.linalg import bareiss_determinant
+from burgers_hierarchy.linalg import bareiss_determinant, rref
 from burgers_hierarchy.parser import parse_expr
 from burgers_hierarchy.symcore import (
     ONE,
@@ -66,7 +68,7 @@ from burgers_hierarchy.symcore import (
     total_derivative,
 )
 from test_fdsolve import assert_close_to_oracle, dense_substep, moving_boundary
-from tests_support import reference_apply, reference_eval_expr
+from tests_support import densify, reference_apply, reference_eval_expr, reference_rref
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -321,10 +323,10 @@ def test_equal_values_have_one_representation(a_ref):
 @given(rational_polys(), rational_polys(), RATIONALS)
 def test_values_leaving_the_kernel_match_fraction_reference(a_ref, b_ref, q):
     (a, ra), (b, rb) = a_ref, b_ref
-    # coefficient_rows: one row per monomial, one Fraction column per expression
+    # coefficient_rows: one sparse row per monomial, nonzero Fractions only
     rows = coefficient_rows([a, b])
-    assert all(type(v) is Fraction for row in rows for v in row)
-    assert sorted(map(tuple, rows)) == sorted(
+    assert all(type(v) is Fraction and v != 0 for row in rows for v in row.values())
+    assert sorted(map(tuple, densify(rows, 2))) == sorted(
         (ra.get(mon, Fraction(0)), rb.get(mon, Fraction(0))) for mon in set(ra) | set(rb))
     # as_rational
     for c in (q, Fraction(0), Fraction(q.denominator)):
@@ -338,6 +340,42 @@ def test_values_leaving_the_kernel_match_fraction_reference(a_ref, b_ref, q):
         assert len(plan) == len(ref)
         assert {frozenset(mon): v.hex() for v, mon in plan} == \
             {mon: float(c).hex() for mon, c in ref.items()}
+
+
+@st.composite
+def rational_matrices(draw):
+    """(dense rows, width, ncols): up to six rows of small rationals, some
+    columns zeroed, some rows repeated or combined from others, and
+    0 <= ncols <= width."""
+    width = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(Fraction(0)), RATIONALS)
+    rows = draw(st.lists(st.lists(entries, min_size=width, max_size=width), max_size=6))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+        r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        q = draw(RATIONALS)
+        rows.append([q * v + w for v, w in zip(r1, r2)])
+    zero_cols = draw(st.sets(st.integers(0, width - 1), max_size=width))
+    rows = [[Fraction(0) if c in zero_cols else v for c, v in enumerate(r)] for r in rows]
+    return draw(st.permutations(rows)), width, draw(st.integers(0, width))
+
+
+@PROPERTY
+@given(rational_matrices())
+# the rows past the rank follow from which row each pivot is taken from
+@example(([[Fraction(1), Fraction(v)] for v in (1, 2, 3)], 2, 1))
+@example(([], 3, 2))
+def test_rref_matches_dense_reference(matrix):
+    dense, width, ncols = matrix
+    rows = [{c: v for c, v in enumerate(r) if v} for r in dense]
+    before = [dict(r) for r in rows]
+    aug, pivots = rref(rows, ncols)
+    ref_aug, ref_pivots = reference_rref(dense, ncols)
+    assert pivots == ref_pivots
+    assert densify(aug, width) == ref_aug
+    assert all(type(v) is Fraction and v != 0 for row in aug for v in row.values())
+    assert all(c >= ncols for row in aug[len(pivots):] for c in row)
+    assert rows == before
 
 
 @st.composite

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
+
+from burgers_hierarchy.prolong import ProlongedField
 from burgers_hierarchy.symcore import (
     FuncApp,
     JetCoord,
@@ -17,6 +20,7 @@ from burgers_hierarchy.symcore import (
     partial_derivative,
     rational,
     sinh,
+    total_derivative,
 )
 
 XI = OpaqueSymbol("xi", (T_ATOM, X_ATOM, JetCoord(1, 1)))
@@ -92,3 +96,53 @@ def reference_eval_expr(e, env):
             val *= atom_value(a) ** k
         total += val
     return total
+
+
+def prolong2_direct(field):
+    """Direct coefficient recursion,
+    eta^{J,i} = D_i(eta^J) - D_i(tau)*u_{a,J,t} - D_i(xi)*u_{a,J,x},
+    an independent path for cross-checking ``prolong.prolong2``."""
+
+    def dt(e):
+        return total_derivative(e, T_ATOM)
+
+    def dx(e):
+        return total_derivative(e, X_ATOM)
+
+    k, tau, xi = field.tier, field.tau, field.xi
+    eta_t, eta_x, eta_xx = [], [], []
+    for a, eta in enumerate(field.etas, start=1):
+        ex = dx(eta) - dx(tau) * jet(k, a, nt=1) - dx(xi) * jet(k, a, nx=1)
+        eta_t.append(dt(eta) - dt(tau) * jet(k, a, nt=1) - dt(xi) * jet(k, a, nx=1))
+        eta_x.append(ex)
+        eta_xx.append(dx(ex) - dx(tau) * jet(k, a, 1, 1) - dx(xi) * jet(k, a, nx=2))
+    return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
+
+
+def reference_rref(rows, ncols):
+    """Dense exact Gauss-Jordan reduction of ``rows`` (lists of Fraction),
+    pivoting in the first ``ncols`` columns only: the reference for the
+    sparse ``linalg.rref``.  Returns the reduced rows and the pivot
+    columns; pivot r sits in row r, and rows from len(pivots) on are zero
+    in the first ncols."""
+    aug = [row[:] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(aug)) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r0], aug[piv] = aug[piv], aug[r0]
+        pv = aug[r0][col]
+        aug[r0] = [v / pv for v in aug[r0]]
+        for r in range(len(aug)):
+            if r != r0 and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[r0])]
+        pivots.append(col)
+    return aug, pivots
+
+
+def densify(rows, width):
+    """Sparse {column: entry} rows as dense lists of Fraction."""
+    return [[row.get(c, Fraction(0)) for c in range(width)] for row in rows]
