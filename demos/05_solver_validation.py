@@ -4,17 +4,19 @@
 # and a refinement ladder confirming second-order spatial accuracy.
 
 from burgers_hierarchy import (
-    Grid1D,
     HeatSolution,
-    convergence_study,
-    error_norms,
-    field_from_exact,
     heat_constant,
     heat_exponential,
     heat_polynomial,
     heat_sum,
-    make_boundary,
     solve_exact,
+)
+from burgers_hierarchy.fdsolve import (
+    Grid1D,
+    convergence_study,
+    error_norms,
+    field_from_exact,
+    make_boundary,
     solve_ivp,
 )
 from burgers_hierarchy.symcore import X

@@ -29,13 +29,5 @@ from .hopfcole import (
     heat_sum,
     solve_exact,
 )
-from .fdsolve import (
-    Grid1D,
-    convergence_study,
-    error_norms,
-    field_from_exact,
-    make_boundary,
-    solve_ivp,
-)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Subcommands: ``gen``, ``verify``, ``exact``, ``solve``, ``convergence``,
 ``report``.  Data artifacts (JSON/CSV) are deterministic for a given
 configuration; wall-clock timings live only under the ``meta`` key of
 JSON reports (or are omitted entirely with ``--no-meta``), so golden
-comparisons strip ``meta``.
+comparisons strip ``meta``.  Only ``solve`` and ``convergence`` load the
+finite-difference solver (and with it numpy and scipy).
 
 Exit codes: 0 success, 2 verification failure, 3 numerical failure,
 4 configuration error.
@@ -21,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import fdsolve, hopfcole, liealg, prolong
+from . import hopfcole, liealg, prolong
 from .hierarchy import build_companion, build_delta, build_symmetry_field
 from .prolong import kappa_poly_coefficients, poly_rem
 
@@ -240,8 +241,11 @@ def cmd_exact(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not math.isfinite(args.t_start):
-        raise ConfigError(f"--t-start must be finite, got {args.t_start}")
+    from . import fdsolve
+
+    for flag, value in (("--t-start", args.t_start), ("--tol", args.tol)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     offsets = args.snapshots or []
     if any(not 0 <= s <= args.t_end for s in offsets):
         raise ConfigError(f"--snapshots must lie in [0, --t-end={args.t_end}]")
@@ -275,6 +279,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from . import fdsolve
+
     lo, hi = args.order_window
     if not lo <= hi:
         raise ConfigError(f"--order-window needs LO <= HI, got {lo} {hi}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+import math
 import random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -460,10 +461,12 @@ def sample_points(
     seed: int = 20250
 ) -> list[tuple[float, float]]:
     """Deterministic samples inside (t_min, t_max, x_min, x_max) that
-    respect the singularity guard.  A reversed box, or one with fewer
-    than n guard-safe points in 200*n draws, raises ``ValueError``; a
-    degenerate box (t_min == t_max, say) is valid."""
+    respect the singularity guard.  A non-finite or reversed box, or one
+    with fewer than n guard-safe points in 200*n draws, raises
+    ``ValueError``; a degenerate box (t_min == t_max, say) is valid."""
     t_min, t_max, x_min, x_max = box
+    if not all(map(math.isfinite, box)):
+        raise ValueError(f"sample box {box} has a non-finite bound")
     if t_min > t_max or x_min > x_max:
         raise ValueError(f"sample box {box} is reversed: need t_min <= t_max "
                          "and x_min <= x_max")

@@ -25,6 +25,7 @@ import time
 
 from .hierarchy import (PdeSystem, VectorField, build_delta, build_symmetry_field,
                         components, tier_of)
+from .liealg import generators
 from .symcore import (
     Atom,
     Expr,
@@ -293,8 +294,6 @@ def verify_classical(m: int, fields: list[VectorField] | None = None) -> Classic
     """Check that each classical generator annihilates the system after
     substituting the solved forms (plain invariance, no surface
     conditions)."""
-    from .liealg import generators
-
     t0 = time.perf_counter()
     system = build_delta(m)
     solved = system.solved_rules()

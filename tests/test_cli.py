@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,8 @@ class TestExact:
     @pytest.mark.parametrize("box_args", [
         ["--box", "1", "0", "5", "4"],  # reversed: t_min > t_max, x_min > x_max
         ["--box", "0.5", "0.5", "1", "1", "--points", "3"],  # every point has 2t = x^2
+        ["--box", "0.1", "inf", "-3", "3", "--points", "5"],  # used to write rows at t = inf
+        ["--box", "nan", "1", "-3", "3", "--points", "0"],  # used to exit 0
     ])
     def test_bad_box_is_config_error(self, tmp_path, catalog, box_args, capsys):
         path = catalog(CATALOG_M2)
@@ -368,6 +371,7 @@ class TestSolveAndConvergence:
         ("solve", ["--t-start", "nan"]),  # used to exit 3
         ("convergence", ["--t-start", "inf"]),
         ("convergence", ["--t-start", "nan"]),
+        ("solve", ["--tol", "nan"]),  # used to accept every run
     ])
     def test_non_finite_setting_is_config_error(self, tmp_path, catalog, capsys,
                                                 command, bad):
@@ -462,3 +466,36 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, catalog):
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == 4
+
+
+IMPORT_BOUNDARY = textwrap.dedent("""
+    import sys
+
+    import burgers_hierarchy
+    from burgers_hierarchy.cli import main
+
+    out, catalog = sys.argv[1], sys.argv[2]
+    runs = [["verify", kind, "--m", "1..2", "--out-dir", out]
+            for kind in ("theorem", "classical", "liealg", "kappa")]
+    runs += [["gen", "--m", "2"],
+             ["exact", "--m", "2", "--catalog", catalog, "--certify", "--points", "3",
+              "--out-dir", out],
+             ["report", "--dir", out]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+    assert not loaded, loaded
+    assert main(["solve", "--m", "2", "--catalog", catalog, "--x-min", "2", "--x-max", "4",
+                 "--nx", "21", "--t-end", "0.01", "--out-dir", out]) == 0
+""")
+
+
+def test_symbolic_commands_do_not_import_the_solver(tmp_path, catalog):
+    # the exact engine never needs numpy or scipy; only solve and
+    # convergence load fdsolve.  sys.modules is process-wide, so the check
+    # runs in a fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY, str(tmp_path / "out"), catalog(CATALOG_M2)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

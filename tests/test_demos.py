@@ -1,18 +1,18 @@
-"""The demo scripts run end to end against the package root exports, and
-every root export is used by a demo or the README.
+"""The demo scripts run end to end against the package root exports,
+every root export is used by a demo or the README, and every package
+import in the demos and the README's examples resolves.
 
 Demo 05 is left out of the runs: it repeats the solver-validation ladder
 of acceptance criterion 7 and takes several seconds.
 """
 
 import ast
+import importlib
 import re
 import runpy
 from pathlib import Path
 
 import pytest
-
-import burgers_hierarchy
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -29,11 +29,13 @@ def test_demo_runs(script, expected, capsys):
     assert expected in capsys.readouterr().out
 
 
-def _root_imports(source: str) -> set[str]:
-    """Names imported by ``from burgers_hierarchy import ...`` in source."""
-    return {alias.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.module == "burgers_hierarchy"
-            and node.level == 0 for alias in node.names}
+def _package_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each ``from burgers_hierarchy[.<module>] import
+    name`` in source."""
+    return {(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "burgers_hierarchy"
+            for alias in node.names}
 
 
 def test_every_root_export_is_used():
@@ -45,9 +47,12 @@ def test_every_root_export_is_used():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     readme = (ROOT / "README.md").read_text()
     examples = [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
-    imported = set().union(*(_root_imports(p.read_text()) for p in DEMOS.glob("*.py")),
-                           *(_root_imports(code) for code in examples))
+    pairs = set().union(*(_package_imports(p.read_text()) for p in DEMOS.glob("*.py")),
+                        *(_package_imports(code) for code in examples))
+    imported = {name for module, name in pairs if module == "burgers_hierarchy"}
     named = set(re.findall(r"\bburgers_hierarchy\.(\w+)", readme))
     assert examples and imported
     assert sorted(exported - imported - named) == []
-    assert sorted(n for n in imported if not hasattr(burgers_hierarchy, n)) == []
+    # every import, from the root or from a submodule, resolves
+    assert sorted(f"{module}.{name}" for module, name in pairs
+                  if not hasattr(importlib.import_module(module), name)) == []
