@@ -41,7 +41,7 @@ from .symcore import (
     ZERO,
     SymbolicError,
     _FUNC_EVAL,
-    _float_terms,
+    _float_form,
     as_expr,
     cos,
     eval_expr,
@@ -225,6 +225,8 @@ def _entry_from_json(rec: dict) -> HeatSolution:
 def hopfcole_matrix(m: int, vs: Sequence[HeatSolution]) -> tuple[list[list[Expr]], list[Expr]]:
     """Row i: ((-2)^j d^j v_i/dx^j, j = 0..m-1) against the unknown
     vector (u_m, ..., u_1); right-hand side (-2)^m d^m v_i/dx^m."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
     if len(vs) != m:
         raise ValueError(f"need exactly {m} heat solutions, got {len(vs)}")
     rows = []
@@ -245,11 +247,12 @@ def hopfcole_matrix(m: int, vs: Sequence[HeatSolution]) -> tuple[list[list[Expr]
 def _float_plan(det: Expr, numerators: Sequence[Expr],
                 numeric_atoms: NumericAtomMap) -> Callable[[float, float], list[float]]:
     """Compile (t, x) -> [N_a / D] into one generated function that does
-    :func:`eval_expr`'s float work in its order, so values are bit-identical:
-    t and x coerced with ``float``; each numeric and function atom, and
-    each power of an atom, computed once; each polynomial summed as
-    ``0.0 + c * a ** k * b ** j + ...`` in term order (a coefficient 1.0
-    and an exponent 1 are exact, so they are left out).  Coefficients,
+    :func:`eval_expr`'s float work in its order, from the same float layout,
+    so values are bit-identical: t and x coerced with ``float``; each
+    numeric and function atom, and each power of an atom, computed once;
+    each polynomial summed as ``0.0 + c * a ** k * b ** j + ...`` in the
+    order of ``Expr.terms`` (a coefficient 1.0 and an exponent 1 are
+    exact, so they are left out).  Coefficients,
     libm functions and numeric-atom callables enter through the namespace
     under generated names, never as source text."""
     namespace: dict = {}  # generated name -> coefficient, libm function or callable
@@ -284,9 +287,10 @@ def _float_plan(det: Expr, numerators: Sequence[Expr],
         return local.get((a, k)) or assign(f"{base} ** {k}", (a, k))
 
     def poly(e: Expr) -> str:
+        atoms, layout = _float_form(e)
         terms = []
-        for c, mon in _float_terms(e):
-            factors = [power(a, k) for a, k in mon]
+        for c, powers in layout:
+            factors = [power(atoms[i], k) for i, k in powers]
             if c != 1.0 or not factors:
                 factors.insert(0, bind(c, c))
             terms.append(" * ".join(factors))

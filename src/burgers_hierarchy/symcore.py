@@ -19,15 +19,11 @@ the low end; every other atom owns an 8-bit field.  The top bit of each
 field is a guard: exponents stay below 2**31 for t and x and below 2**7
 = 128 for other atoms.  Every result is checked once against the guard
 bits, and an exponent past its field raises ``OverflowError`` instead of
-wrapping into the neighbouring field.  A term dict keeps insertion
-order, and every operation adds terms in a fixed order.
-:func:`eval_expr` works from a float layout cached on the expression:
-its distinct atoms in order of first occurrence, and its terms in term
-order, each a float coefficient with (atom position, exponent) pairs in
-the ``sort_key`` order of the atoms.  A call resolves each atom once and
-sums the terms from 0.0 in term order, so float evaluation does not
-depend on the order in which atoms were interned.  No other module reads
-the packed format: they go through
+wrapping into the neighbouring field.  No result depends on the order
+of a term dict: :func:`eval_expr` sums the terms in the order of
+:meth:`Expr.terms`, from a float layout cached on the expression
+(:func:`_float_form`), so a float depends only on the polynomial.  No
+other module reads the packed format: they go through
 :func:`collect_coefficients`, :func:`powers_of`,
 :func:`coefficient_rows` and :func:`exact_divide`.
 
@@ -344,8 +340,7 @@ def _as_fraction(v) -> Fraction:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Product of two numerator dicts; the denominators multiply.  Terms
-    appear in the order of the double loop over ``a`` then ``b``; a term
+    """Product of two numerator dicts; the denominators multiply.  A term
     that cancels is dropped at once."""
     out = {}
     get = out.get
@@ -372,8 +367,7 @@ def _add_into(out: dict, terms: dict, f: int):
 
 
 def _rescale(terms: dict, f: int):
-    """Multiply every numerator in ``terms`` by ``f``, in place, so the
-    term order stays."""
+    """Multiply every numerator in ``terms`` by ``f``, in place."""
     for p in terms:
         terms[p] *= f
 
@@ -400,7 +394,7 @@ class Expr:
     when every coefficient is integral, zero is ``({}, 1)``, x/2 is
     ``({x: 1}, 2)``, and equal values have equal ``_terms`` and ``_den``."""
 
-    __slots__ = ("_terms", "_den", "_key", "_hashval", "_plan")
+    __slots__ = ("_terms", "_den", "_key", "_hashval", "_floats")
 
     def __init__(self, terms: dict, den: int = 1):
         # internal -- use the factory helpers below; (terms, den) must
@@ -409,7 +403,7 @@ class Expr:
         self._den = den
         self._key = None
         self._hashval = None
-        self._plan = None
+        self._floats = None
 
     # -- construction ------------------------------------------------------
 
@@ -439,9 +433,7 @@ class Expr:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
         den = self._den
-        items = [(_monomial(p), Fraction(c, den)) for p, c in self._terms.items()]
-        items.sort(key=lambda t: _monomial_sort_key(t[0]))
-        return iter(items)
+        return ((mon, Fraction(c, den)) for mon, c in _sorted_terms(self))
 
     def atoms(self) -> set:
         """Atoms occurring at the top level (not inside function arguments)."""
@@ -579,6 +571,13 @@ def _monomial_sort_key(mon: Monomial):
     return (-deg, tuple((a.sort_key(), -k) for a, k in mon))
 
 
+def _sorted_terms(e: Expr) -> list[tuple[Monomial, int]]:
+    """(decoded monomial, numerator) per term of ``e``, in term order: the
+    graded order of :func:`_monomial_sort_key`, which rendering shows."""
+    return sorted(((_monomial(p), c) for p, c in e._terms.items()),
+                  key=lambda t: _monomial_sort_key(t[0]))
+
+
 ZERO = Expr({})
 ONE = Expr({0: 1})
 
@@ -653,8 +652,8 @@ def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
     """The derivation sending each atom ``a`` to ``image(a)`` unless that is
     None; then an opaque symbol chains over its declared arguments, a
     function application over its argument, and t, x and jet coordinates
-    go to 0.  One pass: over monomials and their atoms (in atom order), the
-    monomial with one power of the atom taken off times the atom's image."""
+    go to 0.  One pass: over monomials and their atoms, the monomial with
+    one power of the atom taken off times the atom's image."""
     terms = e._terms
     diffs: dict[int, Expr] = {}  # atom index -> its nonzero image
     seen = 0  # fields of the atoms whose image is known
@@ -682,10 +681,7 @@ def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
         hit = p & live
         if not hit:
             continue
-        idx = _fields(hit)
-        if len(idx) > 1:
-            idx.sort(key=_KEYS.__getitem__)
-        for i in idx:
+        for i in _fields(hit):
             base = p - (1 << _SHIFT[i])
             ck = c * _exponent(p, i)
             for q, d in images[i]:
@@ -794,8 +790,8 @@ class SubstitutionMap:
 
     def _apply_once(self, e: Expr) -> Expr:
         # each monomial becomes its kept atoms times the replaced atoms'
-        # powers, multiplied in atom order, and is added into one dict of
-        # numerators over e's denominator times den
+        # powers, added into one dict of numerators over e's denominator
+        # times den
         out: dict = {}
         get = out.get
         den = 1
@@ -809,8 +805,6 @@ class SubstitutionMap:
                 else:
                     del out[p]
                 continue
-            if len(subs) > 1:
-                subs.sort(key=lambda sub: _KEYS[sub[0]])
             rest = p
             for i, _ in subs:
                 rest &= ~_FIELD[i]
@@ -972,24 +966,18 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
 
 
 def _float_form(e: Expr) -> tuple:
-    """The float form of e, computed once per expression: its terms as
-    (float coefficient, decoded monomial) in term order, its distinct atoms
-    in order of first occurrence, and its terms again as (float
-    coefficient, ((atom position, exponent), ...))."""
-    if e._plan is None:
-        # int / int is correctly rounded, as float(Fraction) is
+    """The float layout of ``e``, built once per expression: its distinct
+    atoms in order of first occurrence, and its terms in term order (the
+    order of :meth:`Expr.terms`), each a float coefficient with ((atom
+    position, exponent), ...) in the atoms' ``sort_key`` order."""
+    if e._floats is None:
         den = e._den
-        terms = tuple((c / den, _monomial(p)) for p, c in e._terms.items())
         position: dict = {}
-        indexed = tuple((c, tuple((position.setdefault(a, len(position)), k) for a, k in mon))
-                        for c, mon in terms)
-        e._plan = terms, tuple(position), indexed
-    return e._plan
-
-
-def _float_terms(e: Expr) -> tuple:
-    """(float coefficient, decoded monomial) per term of e, in term order."""
-    return _float_form(e)[0]
+        # int / int is correctly rounded, as float(Fraction) is
+        terms = tuple((c / den, tuple((position.setdefault(a, len(position)), k) for a, k in mon))
+                      for mon, c in _sorted_terms(e))
+        e._floats = tuple(position), terms
+    return e._floats
 
 
 _MISSING = object()  # env.get's default: no value for the atom
@@ -1001,8 +989,8 @@ def eval_expr(e: Expr, env: Mapping[Atom, float]) -> float:
     distinct atom is resolved once per call, in order of first occurrence,
     so a missing atom raises before any term is computed; then each term
     is ``c * v_a ** k_a * v_b ** k_b ...`` from left to right, added to
-    0.0 in term order."""
-    _, atoms, terms = e._plan or _float_form(e)  # the cached form without a call
+    0.0 in the term order of :meth:`Expr.terms`."""
+    atoms, terms = e._floats or _float_form(e)  # the cached layout without a call
     values = []
     for a in atoms:
         v = env.get(a, _MISSING)  # one hash of the atom, where `in` and [] take two

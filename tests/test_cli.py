@@ -163,7 +163,7 @@ class TestExact:
          "284d45409186e45ef24a73370fcf1f4d4cb7d3f8f9cc77cc632a6f33eae1cb85"),
         ([{"kind": "heat_polynomial", "degree": n} for n in (1, 2, 3, 4)],
          "0de87605c0b7e99c40c5c6d093aee7b8861cd7cb885a7b57a60a1e2f0beb9d4a"),
-        (CATALOG_GAUSSIAN, "ccc49ca0a7f4e236b8b7bd3d12b32f011ac2e729bae07db9270948d8fd1d29ef"),
+        (CATALOG_GAUSSIAN, "989b3c5c229e01b773473ab7e3b3205c1e080ce9004f4e8398d1d03ff914a66d"),
         (CATALOG_EXP_SIN, "3543c0d92fb7cdcdf3a496f1c0fc5aec356d5b183c8f75ce686757becedfbdf1"),
     ], ids=["wave", "cosh", "pair", "heatpoly-m3", "heatpoly-m4", "gaussian", "exp-sin"])
     def test_csv_bytes_pinned(self, tmp_path, catalog, doc, digest):
@@ -252,6 +252,18 @@ class TestExact:
         path = catalog(CATALOG_M1)
         assert main(["exact", "--m", "2", "--catalog", path,
                      "--out-dir", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("command", [
+        ["exact"],
+        ["solve", "--x-min", "0", "--x-max", "1", "--t-end", "0.1"],
+        ["convergence", "--x-min", "0", "--x-max", "1", "--t-end", "0.1"],
+    ], ids=["exact", "solve", "convergence"])
+    def test_zero_components_is_config_error(self, tmp_path, catalog, command):
+        # an empty catalog matches --m 0, and there is no system to solve
+        out = tmp_path / "out"
+        assert main([*command, "--m", "0", "--catalog", catalog([]),
+                     "--out-dir", str(out)]) == 4
+        assert not out.exists()
 
     def test_csv_deterministic(self, tmp_path, catalog):
         path = catalog(CATALOG_M2)

@@ -2,7 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from burgers_hierarchy.liealg import (
 )
 from burgers_hierarchy.prolong import verify_classical
 from burgers_hierarchy.symcore import ONE, T, X, ZERO, jet
+from tests_support import reordered
 
 
 def reference_generator_etas(m: int) -> tuple:
@@ -166,6 +167,21 @@ class TestStructureConstants:
     def test_sparse_jacobi_matches_dense_sum(self, m):
         table = structure_constants(m)
         assert table.jacobi_residual() == dense_jacobi_residual(table) == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_brackets_do_not_depend_on_term_order(self, m):
+        # the coefficient rows follow term insertion order; the reduced row echelon
+        # form, and with it every bracket, does not
+        def twin(f):
+            return VectorField(f.m, reordered(f.tau), reordered(f.xi),
+                               tuple(map(reordered, f.etas)), name=f.name)
+
+        basis = generators(m)
+        targets = [commutator(a, b) for a, b in combinations(basis, 2)]
+        expected = _expand_in_basis(targets, basis)
+        assert _expand_in_basis([twin(f) for f in targets], [twin(f) for f in basis]) == expected
+        assert {pair: combo for pair, combo in zip(combinations(range(1, 6), 2), expected)
+                if combo} == structure_constants(m).brackets
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_one_elimination_per_table(self, m, monkeypatch):

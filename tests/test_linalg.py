@@ -15,6 +15,7 @@ from burgers_hierarchy.linalg import (
     rref,
 )
 from burgers_hierarchy.symcore import Expr, ONE, T, X, ZERO, jet, rational
+from tests_support import reordered
 
 
 def fraction_det(rows):
@@ -116,6 +117,17 @@ class TestNullvector:
 
     def test_independent(self):
         assert rational_nullvector([X, T, ONE]) is None
+
+    def test_witness_does_not_depend_on_term_order(self):
+        # the coefficient rows follow term insertion order; the reduced row echelon
+        # form, and with it the witness, does not
+        v1, v2 = (X + T) ** 3 - 2, X ** 2 * T + rational(1, 3) * X
+        vectors = [v1, v2, 3 * v1 - v2 / 2 + X, X, T ** 2]
+        twins = [reordered(v) for v in vectors]
+        assert [list(w._terms) for w in twins] != [list(v._terms) for v in vectors]
+        witness = rational_nullvector(vectors)
+        assert witness == [3, Fraction(-1, 2), -1, 1, 0]
+        assert rational_nullvector(twins) == witness
 
 
 class TestRref:

@@ -38,7 +38,7 @@ from burgers_hierarchy.symcore import (
     jet,
     sin,
 )
-from tests_support import prolong2_direct, reference_apply, reference_prolonged_apply
+from tests_support import prolong2_direct, reference_apply, reference_prolonged_apply, reordered
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
@@ -369,6 +369,18 @@ class TestTheorem:
         assert doc["status"] == "ok"
         assert "wall_time_ms" in doc["meta"]
         assert doc["term_counts"]["1"] > 0
+
+    def test_coefficient_map_does_not_depend_on_term_order(self, monkeypatch):
+        # collect_coefficients groups monomials in insertion order; the map's
+        # keys reach JSON only through sort_keys
+        expected = verify_theorem(3)
+        restricted = determining_polynomials(build_symmetry_field(3))
+        twins = [reordered(p) for p in restricted]
+        assert [list(p._terms) for p in twins] != [list(p._terms) for p in restricted]
+        monkeypatch.setattr(prolong, "determining_polynomials", lambda field: twins)
+        got = verify_theorem(3)
+        assert got.coefficient_map == expected.coefficient_map
+        assert got.term_counts == expected.term_counts
 
 
 class TestClassical:

@@ -18,7 +18,11 @@ cycles, directly or inside exp()) are rejected.  The
 fraction-free determinant is compared against cofactor expansion.  Every
 nonsingular catalog drawn from the heat-data grammar certifies
 symbolically, and its compiled float plan (``ExactSolution.evaluate``)
-equals ``eval_expr`` on the point's environment bit for bit.
+equals ``eval_expr`` on the point's environment bit for bit.  Float
+values depend only on the polynomial: one polynomial built with its
+terms added in two orders gives the same bits from ``eval_expr`` and
+from the compiled plan, also for the determinant and numerators of a
+catalog solution.
 ``eval_expr``, which resolves each distinct atom once per call, equals a
 per-occurrence oracle bit for bit on random polynomials with nested
 function applications.  The sparse ``rref`` equals a dense Gauss-Jordan
@@ -28,6 +32,7 @@ finite-difference step that needs several CFL substeps matches the dense
 Crank-Nicolson oracle on both boundaries.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -39,7 +44,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from burgers_hierarchy.fdsolve import C_ADV, Grid1D, GridField, step
 from burgers_hierarchy.hierarchy import VectorField
-from burgers_hierarchy.hopfcole import SingularSystemError, catalog_from_json, certify, solve_exact
+from burgers_hierarchy.hopfcole import (
+    ExactSolution,
+    SingularSystemError,
+    catalog_from_json,
+    certify,
+    solve_exact,
+)
 from burgers_hierarchy.linalg import bareiss_determinant, rref
 from burgers_hierarchy.parser import parse_expr
 from burgers_hierarchy.symcore import (
@@ -56,7 +67,7 @@ from burgers_hierarchy.symcore import (
     SubstitutionMap,
     SymbolicError,
     _FUNC_EVAL,
-    _float_terms,
+    _float_form,
     _nested_atoms,
     coefficient_rows,
     contains_atom,
@@ -68,7 +79,14 @@ from burgers_hierarchy.symcore import (
     total_derivative,
 )
 from test_fdsolve import assert_close_to_oracle, dense_substep, moving_boundary
-from tests_support import densify, reference_apply, reference_eval_expr, reference_rref
+from tests_support import (
+    densify,
+    reference_apply,
+    reference_eval_expr,
+    reference_rref,
+    reordered,
+    summed,
+)
 
 ATOMS = [JetCoord(1, a, nx=nx) for a in (1, 2) for nx in (0, 1, 2)]
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -336,9 +354,9 @@ def test_values_leaving_the_kernel_match_fraction_reference(a_ref, b_ref, q):
     # for numerators and denominators far past 2**53
     big = Fraction(10 ** 30 + 1, 3 ** 40)
     for e, ref in ((a, ra), (a * big, {mon: c * big for mon, c in ra.items()})):
-        plan = _float_terms(e)
+        atoms, plan = _float_form(e)
         assert len(plan) == len(ref)
-        assert {frozenset(mon): v.hex() for v, mon in plan} == \
+        assert {frozenset((atoms[i], k) for i, k in mon): v.hex() for v, mon in plan} == \
             {mon: float(c).hex() for mon, c in ref.items()}
 
 
@@ -632,6 +650,56 @@ def test_eval_expr_matches_per_occurrence_oracle(e, data):
         assert isinstance(got, tuple)
     else:
         assert got == expected
+
+
+PLAN_ATOMS = [T_ATOM, X_ATOM, FuncApp("exp", X), FuncApp("sin", T - 2 * X)]
+TERM_LISTS = st.lists(
+    st.tuples(st.dictionaries(st.sampled_from(PLAN_ATOMS), st.integers(1, 3), max_size=3)
+              .map(lambda powers: tuple(powers.items())),
+              st.builds(lambda q, s: q * Fraction(2) ** s, RATIONALS, st.integers(-60, 60))),
+    min_size=1, max_size=12)
+
+
+@PROPERTY
+# 2**60 + 1 rounds to 2**60: summed in insertion order, the two builds give 0.0 and 1.0
+@example(([(((T_ATOM, 1),), Fraction(2 ** 60)), ((), Fraction(1)),
+           (((X_ATOM, 1),), Fraction(-2 ** 60))], [0, 2, 1]), 1.0, 1.0)
+@given(TERM_LISTS.flatmap(lambda ts: st.tuples(st.just(ts), st.permutations(range(len(ts))))),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_float_values_depend_only_on_the_polynomial(terms_and_order, t, x):
+    """One polynomial, its terms added in two orders, gives the same bits
+    from eval_expr and from the plan compiled by ExactSolution.evaluate
+    (the polynomial as the numerator over D = 1)."""
+    terms, order = terms_and_order
+    polys = summed(terms), summed([terms[i] for i in order])
+    assert polys[0] == polys[1]
+    env = {T_ATOM: t, X_ATOM: x}
+    values = [eval_expr(e, env) for e in polys]
+    values += [ExactSolution(1, [e], ONE, [[ONE]], None, {}, ["v1"]).evaluate(t, x)[0]
+               for e in polys]
+    assert len(set(bits(values))) == 1
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda m: st.lists(ENTRIES, min_size=m, max_size=m)),
+       st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4))
+def test_exact_solution_floats_do_not_depend_on_term_order(catalog, rng, points):
+    """The determinant and numerators rebuilt with their terms in a
+    shuffled insertion order evaluate to the same bits."""
+    try:
+        sol = solve_exact(len(catalog), catalog_from_json(catalog))
+    except SingularSystemError:
+        assume(False)
+
+    def shuffled(e):
+        return reordered(e, lambda ts: rng.sample(ts, len(ts)))
+
+    twin = dataclasses.replace(sol, numerators=[shuffled(n) for n in sol.numerators],
+                               det=shuffled(sol.det))
+    for t, x in points:
+        assume(eval_expr(sol.det, sol._env(t, x)) != 0.0)
+        assert bits(twin.evaluate(t, x)) == bits(sol.evaluate(t, x))
 
 
 @PROPERTY

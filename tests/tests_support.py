@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from burgers_hierarchy.prolong import ProlongedField
 from burgers_hierarchy.symcore import (
+    Expr,
     FuncApp,
     JetCoord,
     OpaqueSymbol,
@@ -14,7 +15,7 @@ from burgers_hierarchy.symcore import (
     X_ATOM,
     ZERO,
     _FUNC_EVAL,
-    _float_terms,
+    _float_form,
     exp,
     jet,
     partial_derivative,
@@ -77,11 +78,30 @@ def reference_prolonged_apply(pf, e):
     return out
 
 
+def summed(terms):
+    """The sum of (monomial, coefficient) terms, added one by one in the
+    given order, so the result holds its terms in that insertion order."""
+    out = ZERO
+    for mon, c in terms:
+        term = Expr.from_rational(c)
+        for a, k in mon:
+            term = term * Expr.from_atom(a) ** k
+        out = out + term
+    return out
+
+
+def reordered(e, order=reversed):
+    """``e`` built again from ``order(e.terms())``: the same polynomial
+    with another term insertion order."""
+    return summed(order(list(e.terms())))
+
+
 def reference_eval_expr(e, env):
     """Per-occurrence oracle for ``eval_expr``: every occurrence of an atom
     in every term looks the atom up in env again (a function application
-    absent from env is evaluated again), and each term is
-    c * v_a ** k_a * v_b ** k_b ..., added to 0.0 in term order."""
+    absent from env is evaluated again), and each term of the float layout
+    is c * v_a ** k_a * v_b ** k_b ..., added to 0.0 in the term order of
+    ``Expr.terms``."""
 
     def atom_value(a):
         if a in env:
@@ -90,10 +110,11 @@ def reference_eval_expr(e, env):
             return _FUNC_EVAL[a.fname](reference_eval_expr(a.arg, env))
         raise SymbolicError(f"no numeric value for atom {a.render()}")
 
+    atoms, terms = _float_form(e)
     total = 0.0
-    for val, mon in _float_terms(e):
-        for a, k in mon:
-            val *= atom_value(a) ** k
+    for val, factors in terms:
+        for i, k in factors:
+            val *= atom_value(atoms[i]) ** k
         total += val
     return total
 
