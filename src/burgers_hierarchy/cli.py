@@ -251,9 +251,10 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--snapshots must lie in [0, --t-end={args.t_end}]")
     vs = _load_catalog(args.catalog, args.m)
     sol = hopfcole.solve_exact(args.m, vs)
-    boundary = "periodic" if args.periodic else "dirichlet"
-    grid = fdsolve.Grid1D(args.x_min, args.x_max, args.nx, args.dt, args.t_end,
-                          boundary=boundary)
+    # a periodic grid has period x_max - x_min, so its last point is x_max - dx
+    x_last = args.x_max - (args.x_max - args.x_min) / args.nx if args.periodic else args.x_max
+    grid = fdsolve.Grid1D(args.x_min, x_last, args.nx, args.dt, args.t_end,
+                          boundary="periodic" if args.periodic else "dirichlet")
     initial = fdsolve.field_from_exact(sol, grid, args.t_start)
     bc = None if args.periodic else fdsolve.make_boundary(sol, grid)
     snaps = sorted({args.t_start + s for s in offsets} | {args.t_start + args.t_end})

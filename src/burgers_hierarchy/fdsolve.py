@@ -25,7 +25,7 @@ solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import functools
 import math
 from typing import Callable, Sequence
@@ -331,20 +331,19 @@ def convergence_study(
         raise ValueError(f"a convergence study needs t_end > 0, got {t_end}")
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
-    dxs = [(x_max - x_min) / (nx - 1) for nx in nx_list]
+    grids = [Grid1D(x_min, x_max, nx, 1.0, t_end) for nx in nx_list]  # dt follows from dx
+    grids = [replace(g, dt=dt_scale * g.dx ** 2) for g in grids]
     entries = []
-    for nx, dx in zip(nx_list, dxs):
-        dt = dt_scale * dx ** 2
-        grid = Grid1D(x_min, x_max, nx, dt, t_end)
+    for grid in grids:
         initial = field_from_exact(exact, grid, t_start)
         final = solve_ivp(m, initial, grid, [t_start + t_end], make_boundary(exact, grid))[-1]
         target = field_from_exact(exact, grid, t_start + t_end)
-        l2, linf = error_norms(final, target, dx)
-        entries.append(ConvergenceEntry(nx, dt, l2, linf))
+        l2, linf = error_norms(final, target, grid.dx)
+        entries.append(ConvergenceEntry(grid.nx, grid.dt, l2, linf))
 
     def orders(values):
-        return [math.log(a / b) / math.log(dxa / dxb)
-                for a, b, dxa, dxb in zip(values, values[1:], dxs, dxs[1:])]
+        return [math.log(a / b) / math.log(ga.dx / gb.dx)
+                for a, b, ga, gb in zip(values, values[1:], grids, grids[1:])]
 
     l2s = [e.l2 for e in entries]
     linfs = [e.linf for e in entries]

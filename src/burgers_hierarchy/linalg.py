@@ -2,10 +2,10 @@
 
 Fraction-free (Bareiss) elimination keeps every intermediate entry a
 polynomial; the one division it performs per step is exact by
-construction and is carried out by the kernel's multivariate long
-division (:func:`symcore.exact_divide`, re-exported here).  Rational
-Gauss-Jordan reduction (:func:`rref`) works on sparse rows and never
-stores or subtracts a zero entry.
+construction, so the kernel's long division in the packed monomial order
+(:func:`symcore.exact_divide`, re-exported here) returns the one
+quotient.  Rational Gauss-Jordan reduction (:func:`rref`) works on
+sparse rows and never stores or subtracts a zero entry.
 """
 
 from __future__ import annotations

@@ -19,9 +19,10 @@ the low end; every other atom owns an 8-bit field.  The top bit of each
 field is a guard: exponents stay below 2**31 for t and x and below 2**7
 = 128 for other atoms.  Every result is checked once against the guard
 bits, and an exponent past its field raises ``OverflowError`` instead of
-wrapping into the neighbouring field.  No result depends on the order
-of a term dict: :func:`eval_expr` sums the terms in the order of
-:meth:`Expr.terms`, from a float layout cached on the expression
+wrapping into the neighbouring field.  Fields never carry, so comparing
+packed monomials as integers is a monomial order.  No result depends on
+the order of a term dict: :func:`eval_expr` sums the terms in the order
+of :meth:`Expr.terms`, from a float layout cached on the expression
 (:func:`_float_form`), so a float depends only on the polynomial.  No
 other module reads the packed format: they go through
 :func:`collect_coefficients`, :func:`powers_of`,
@@ -173,7 +174,8 @@ class OpaqueSymbol:
 @dataclass(frozen=True)
 class OpaqueDeriv(Atom):
     """Partial derivative of an opaque symbol; ``orders[i]`` counts
-    derivatives with respect to argument slot ``i``."""
+    derivatives with respect to argument slot ``i``.  Symbols of one name
+    are ordered by their arguments, but render alike."""
 
     symbol: OpaqueSymbol
     orders: tuple[int, ...]
@@ -188,7 +190,7 @@ class OpaqueDeriv(Atom):
         return OpaqueDeriv(self.symbol, tuple(orders))
 
     def sort_key(self):
-        return (2, self.symbol.name, self.orders)
+        return (2, self.symbol.name, self.orders, tuple(a.sort_key() for a in self.symbol.args))
 
     def render(self) -> str:
         if not any(self.orders):
@@ -310,19 +312,6 @@ def _checked(terms: dict) -> dict:
     if over:
         raise _overflow(_field_at((over & -over).bit_length() - 1))
     return terms
-
-
-def _grlex_key(*exprs: "Expr") -> Callable[[int], tuple]:
-    """Sort key of packed monomials over the atoms of ``exprs``: total
-    degree, then the exponents lexicographically, atoms in sort_key order."""
-    idx = _fields(reduce(or_, (reduce(or_, e._terms, 0) for e in exprs), 0))
-    idx.sort(key=_KEYS.__getitem__)
-
-    def key(p: int) -> tuple:
-        v = tuple(_exponent(p, i) for i in idx)
-        return (sum(v), v)
-
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +903,19 @@ def coefficient_rows(exprs: Sequence[Expr]) -> list[dict[int, Fraction]]:
 # exact division
 
 
+def _degrees(terms: dict) -> int:
+    """The packed monomial of each atom's highest exponent in ``terms``."""
+    return sum(max(p & _FIELD[i] for p in terms) for i in _fields(reduce(or_, terms, 0)))
+
+
 def exact_divide(p: Expr, d: Expr) -> Expr:
     """Return q with p == q*d, raising :class:`InexactDivisionError` if no
-    polynomial quotient exists.  Multivariate long division under the
-    graded lexicographic order on the atoms of p and d."""
+    polynomial quotient exists.  Multivariate long division in the order
+    of the packed monomials as integers (lexicographic, the latest-interned
+    atom first): fields never carry, so that is a monomial order, and under
+    any monomial order the division of a multiple of d returns the one q.
+    How long a division takes depends on the order in which the atoms were
+    interned; its result does not."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if d.is_rational():
@@ -928,19 +926,20 @@ def exact_divide(p: Expr, d: Expr) -> Expr:
     # p/d is (P/D) * (d's denominator / p's) for the numerator polynomials
     # P and D.  P/D is found with the remainder's numerators over scale,
     # which grows only when a leading coefficient is not a multiple of D's.
-    key = _grlex_key(p, d)
-    d_lead = max(d._terms, key=key)
+    d_lead = max(d._terms)
     d_lc = d._terms[d_lead]
+    # deg_a(q) = deg_a(p) - deg_a(d) for each atom a: within it, no remainder outgrows p
+    bound = _degrees(p._terms) - _degrees(d._terms)
 
     quotient: dict = {}  # monomial -> (numerator, scale when it was found)
     rem = dict(p._terms)
     scale = 1
     while rem:
-        p_lead = max(rem, key=key)
-        # a field of p_lead below d_lead's borrows from the next field and
-        # so sets its own guard bit
+        p_lead = max(rem)
+        # a field of q_mon below 0 or above bound's borrows from the next
+        # field and so sets its own guard bit
         q_mon = p_lead - d_lead
-        if q_mon < 0 or q_mon & _GUARD:
+        if q_mon < 0 or bound < q_mon or (q_mon | bound - q_mon) & _GUARD:
             raise InexactDivisionError("leading term not divisible")
         r = rem[p_lead]
         if r % d_lc:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,6 +306,23 @@ class TestSolveAndConvergence:
         for idx in (0, 1):
             snap = (tmp_path / f"solve_m1_snap{idx}.csv").read_text().splitlines()
             assert snap[0] == "t,x,u1" and len(snap) == 65
+
+    def test_periodic_solve_has_period_x_max_minus_x_min(self, tmp_path, catalog):
+        # v = 2 + exp(-t) sin x is 2*pi-periodic; on a grid of that period
+        # the scheme is second order, so halving dx cuts the error about 4x
+        path = catalog([{"kind": "sum", "terms": [
+            {"coeff": "2", "term": {"kind": "constant", "value": "1"}},
+            {"coeff": "1", "term": {"kind": "trig", "a": "1", "func": "sin"}},
+        ]}])
+        l2 = []
+        for nx in (32, 64):
+            out = tmp_path / str(nx)
+            dx = 2 * math.pi / nx
+            assert main(["solve", "--m", "1", "--catalog", path, "--x-min", "0",
+                         "--x-max", repr(2 * math.pi), "--nx", str(nx), "--dt", repr(0.25 * dx ** 2),
+                         "--t-end", "0.2", "--periodic", "--out-dir", str(out)]) == 0
+            l2.append(json.loads((out / "solve_m1_errors.json").read_text())["errors"][-1]["L2"])
+        assert l2[0] / l2[1] >= 3.5, l2
 
     def test_singular_point_is_named(self, tmp_path, catalog, capsys):
         # 2t = x^2 at the ends x = -1, 1 at t = 0.5: the determinant is 0 there

@@ -3,7 +3,12 @@ and the invariance properties of the construction."""
 
 from fractions import Fraction
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -26,7 +31,16 @@ from burgers_hierarchy.hopfcole import (
     sample_points,
     solve_exact,
 )
-from burgers_hierarchy.symcore import ONE, T, X, Expr, cos, cosh, exp, sin, total_derivative
+from burgers_hierarchy.symcore import ONE, T, X, ZERO, Expr, cos, cosh, exp, sin, total_derivative
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def mixed_catalog(m: int):
+    """v_k = exp(k^2 t + k x) + P_{k+1}, k = 1..m (P_n the heat polynomial)."""
+    return [heat_sum([(1, heat_exponential(k)), (1, heat_polynomial(k + 1))])
+            for k in range(1, m + 1)]
 
 
 def traveling_wave_solution():
@@ -142,6 +156,42 @@ class TestLinearSystem:
     def test_wrong_catalog_length(self):
         with pytest.raises(ValueError):
             hopfcole_matrix(2, [heat_constant(1)])
+
+
+# solve the m = 4 mixed catalog after interning its exp atoms in the order
+# the arguments give (none: the catalog's own order), and print a digest
+# of D and the numerators; each order needs a fresh interpreter
+INTERNING_ORDER = textwrap.dedent("""
+    import hashlib, sys
+    from burgers_hierarchy.hopfcole import heat_exponential, heat_polynomial, heat_sum, solve_exact
+    for k in map(int, sys.argv[1:]):
+        heat_exponential(k)
+    vs = [heat_sum([(1, heat_exponential(k)), (1, heat_polynomial(k + 1))]) for k in range(1, 5)]
+    sol = solve_exact(4, vs)
+    text = "\\n".join(e.render() for e in (sol.det, *sol.numerators))
+    print(hashlib.sha256(text.encode()).hexdigest())
+""")
+
+
+class TestExactPastM4:
+    def test_m5_mixed_catalog_solves_its_rows(self):
+        vs = mixed_catalog(5)
+        sol = solve_exact(5, vs)
+        assert sol.det.term_count() == 583
+        matrix, rhs = hopfcole_matrix(5, vs)
+        unknowns = sol.numerators[::-1]  # (u_m, ..., u_1)
+        for row, b in zip(matrix, rhs):
+            assert sum((a * n for a, n in zip(row, unknowns)), ZERO) == b * sol.det
+
+    def test_solution_does_not_depend_on_interning_order(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        digests = set()
+        for order in ([], [4, 3, 2, 1], [3, 1, 4, 2]):
+            proc = subprocess.run([sys.executable, "-c", INTERNING_ORDER, *map(str, order)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests
 
 
 class TestCertification:

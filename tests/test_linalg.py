@@ -53,6 +53,14 @@ class TestExactDivide:
         with pytest.raises(InexactDivisionError):
             exact_divide(X ** 2 + 1, X + 1)
 
+    def test_inexact_remainder_stays_within_degrees(self):
+        # q^70 / (q - p^2) would grow p^140 in the remainder when q owns the
+        # higher field; one of the two pairs does, whatever the interning order
+        a, b = jet(5, 1), jet(5, 2)
+        for p, q in ((a, b), (b, a)):
+            with pytest.raises(InexactDivisionError):
+                exact_divide(q ** 70, q - p ** 2)
+
     def test_rational_divisor(self):
         assert exact_divide(3 * X, rational(3)) == X
 

@@ -98,6 +98,16 @@ class TestCanonicalForm:
         with pytest.raises(NonPolynomialError):
             U / X
 
+    def test_same_name_opaque_symbols_order_by_arguments(self):
+        f1 = OpaqueSymbol("f", (T_ATOM,)).expr()
+        f2 = OpaqueSymbol("f", (X_ATOM,)).expr()
+        assert f1._canonical_key() != f2._canonical_key()
+        big = 2 ** 60
+        forward = big * f1 + 1 - big * f2
+        backward = -big * f2 + 1 + big * f1
+        assert list(forward.terms()) == list(backward.terms())
+        assert forward.render() == backward.render()
+
 
 class TestDerivatives:
     def test_product_rule(self):
