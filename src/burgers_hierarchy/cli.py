@@ -95,9 +95,7 @@ def _parse_m_range(text: str, cap: int) -> list[int]:
     if any(m < 1 for m in ms):
         raise ConfigError("m must be >= 1")
     if any(m > cap for m in ms):
-        raise ConfigError(
-            f"m range exceeds the default cap {cap}; pass --max-m to override"
-        )
+        raise ConfigError(f"m range {text!r} exceeds the cap {cap}, set by --max-m")
     return ms
 
 
@@ -310,7 +308,7 @@ def cmd_report(args) -> int:
     for path in sorted(directory.glob("*.json")):
         try:
             docs[path.name] = json.loads(path.read_text())
-        except json.JSONDecodeError:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             print(f"skipping unreadable {path.name}", file=sys.stderr)
     summary = {}
     for name, doc in docs.items():

@@ -11,9 +11,9 @@ u_a,t, u_a,x and u_a,xx, so only their coefficients eta^t, eta^x and
 eta^xx are prolonged.  The prolonged field acts as one derivation (see
 :func:`~burgers_hierarchy.symcore.derivation`), given by the images of
 atoms: t, x and u_a go to tau, xi and eta_a, and u_a,t, u_a,x and u_a,xx
-to eta^t, eta^x and eta^xx.  The prolongation uses the characteristic
-form; the test suite cross-checks it against the direct coefficient
-recursion.
+to eta^t, eta^x and eta^xx.  :func:`prolong2` computes them by the direct
+coefficient recursion; the test suite cross-checks it against the
+characteristic form, which builds and cancels third-order terms.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ class VerificationError(Exception):
 
 class ExtractionError(Exception):
     """A constraint could not be isolated as a pure polynomial in kappa."""
-
-
-def _dt(e: Expr) -> Expr:
-    return total_derivative(e, T_ATOM)
-
-
-def _dx(e: Expr) -> Expr:
-    return total_derivative(e, X_ATOM)
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +96,28 @@ class ProlongedField:
 
 
 def prolong2(field: VectorField) -> ProlongedField:
-    """Characteristic-form prolongation.
+    """Prolongation by the direct coefficient recursion,
+    eta^{J,i} = D_i(eta^J) - D_i(tau)*u_a,Jt - D_i(xi)*u_a,Jx, with D_i(tau)
+    and D_i(xi) taken once per field.  A zero factor builds no coordinate,
+    so nothing is built only to cancel: no third-order coordinate, and no
+    u_a,tx where D_x(tau) = 0."""
+    k = field.tier
+    d = {v: (total_derivative(field.tau, v), total_derivative(field.xi, v))
+         for v in (T_ATOM, X_ATOM)}
 
-    With W_a = eta_a - tau*u_a,t - xi*u_a,x, the coefficient attached to
-    the derivative coordinate u_a,J is D_J(W_a) + tau*u_a,Jt + xi*u_a,Jx.
-    """
-    k, tau, xi = field.tier, field.tau, field.xi
+    def step(eta_j: Expr, a: int, v, nt: int, nx: int) -> Expr:
+        """eta^{J,v} of component a from eta^J, J = (nt, nx)."""
+        out = total_derivative(eta_j, v)
+        for f, order in zip(d[v], ((nt + 1, nx), (nt, nx + 1))):
+            if not f.is_zero():
+                out = out - f * jet(k, a, *order)
+        return out
+
     eta_t, eta_x, eta_xx = [], [], []
     for a, eta in enumerate(field.etas, start=1):
-        w = eta - tau * jet(k, a, nt=1) - xi * jet(k, a, nx=1)
-        dxw = _dx(w)
-        eta_t.append(_dt(w) + tau * jet(k, a, nt=2) + xi * jet(k, a, 1, 1))
-        eta_x.append(dxw + tau * jet(k, a, 1, 1) + xi * jet(k, a, nx=2))
-        eta_xx.append(_dx(dxw) + tau * jet(k, a, 1, 2) + xi * jet(k, a, nx=3))
+        eta_t.append(step(eta, a, T_ATOM, 0, 0))
+        eta_x.append(step(eta, a, X_ATOM, 0, 0))
+        eta_xx.append(step(eta_x[-1], a, X_ATOM, 0, 1))
     return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
 
 

@@ -116,6 +116,14 @@ class TestVerify:
         assert main(["verify", "theorem", "--m", "1..40",
                      "--out-dir", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("cap", [None, "3"])
+    def test_range_cap_names_the_cap_in_force(self, tmp_path, capsys, cap):
+        flags = [] if cap is None else ["--max-m", cap]
+        assert main(["verify", "theorem", "--m", "1..40", *flags,
+                     "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == \
+            f"config error: m range '1..40' exceeds the cap {cap or 32}, set by --max-m\n"
+
     def test_bad_range(self, tmp_path):
         assert main(["verify", "theorem", "--m", "x..y",
                      "--out-dir", str(tmp_path)]) == 4
@@ -473,6 +481,20 @@ class TestReport:
 
     def test_bad_directory(self):
         assert main(["report", "--dir", "/nonexistent-dir-xyz"]) == 4
+
+    @pytest.mark.parametrize("entry", ["directory", "latin-1", "invalid JSON"])
+    def test_unreadable_entry_is_skipped(self, tmp_path, capsys, entry):
+        (tmp_path / "ok.json").write_text(json.dumps({"status": "ok"}))
+        bad = tmp_path / "x.json"
+        if entry == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes('{"status": "ok", "note": "é"}'.encode("latin-1")
+                            if entry == "latin-1" else b'{"status": ')
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["ok.json: ok"]
+        assert captured.err == "skipping unreadable x.json\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, catalog):

@@ -3,7 +3,12 @@ polynomials (checked term-by-term against longhand transcriptions of
 the expected cubics for one and two components), theorem verification, kappa constraints."""
 
 import collections
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,11 +43,13 @@ from burgers_hierarchy.symcore import (
     jet,
     sin,
 )
-from tests_support import prolong2_direct, reference_apply, reference_prolonged_apply, reordered
+from tests_support import (prolong2_characteristic, reference_apply, reference_prolonged_apply,
+                           reordered)
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
 UXX = jet(1, 1, nx=2)
+ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_MODULES = (burgers_hierarchy, symcore, hierarchy, prolong, liealg, linalg, hopfcole, fdsolve,
                    cli)
 
@@ -69,19 +76,25 @@ class TestProlongationFormulas:
         assert pf.eta_x[0] == -2 * UX
         assert pf.eta_xx[0] == -3 * UXX
 
-    @pytest.mark.parametrize("m", [1, 2])
+    # the direct recursion against the characteristic form on every
+    # reference field with m components: first the ansatze with opaque
+    # coefficients, then the fields with explicit ones (the generators,
+    # the conditional symmetry field, the elementary field)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_two_code_paths_agree_generic(self, m):
-        field, _ = generic_ansatz(m)
-        a, b = prolong2(field), prolong2_direct(field)
-        assert a.eta_t == b.eta_t
-        assert a.eta_x == b.eta_x
-        assert a.eta_xx == b.eta_xx
+        fields = [f for f in reference_cases() if f.m == m and f.name in OPAQUE_ANSATZE]
+        assert fields
+        for field in fields:
+            a, b = prolong2(field), prolong2_characteristic(field)
+            assert (a.eta_t, a.eta_x, a.eta_xx) == (b.eta_t, b.eta_x, b.eta_xx), field.name
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 9))
     def test_two_code_paths_agree_classical(self, m):
-        for field in generators(m):
-            a, b = prolong2(field), prolong2_direct(field)
-            assert (a.eta_t, a.eta_x, a.eta_xx) == (b.eta_t, b.eta_x, b.eta_xx)
+        fields = [f for f in reference_cases() if f.m == m and f.name not in OPAQUE_ANSATZE]
+        assert fields
+        for field in fields:
+            a, b = prolong2(field), prolong2_characteristic(field)
+            assert (a.eta_t, a.eta_x, a.eta_xx) == (b.eta_t, b.eta_x, b.eta_xx), field.name
 
     def test_prolongation_linearity(self):
         # rational combinations of tau = 0 fields prolong linearly
@@ -112,12 +125,17 @@ def elementary_field():
                        name="elementary")
 
 
+OPAQUE_ANSATZE = ("generic", "kappa-ansatz")
+
+
 def reference_cases():
     for m in range(1, 9):
         yield build_symmetry_field(m)
         yield from generators(m)
     for m in range(1, 4):
         yield generic_ansatz(m)[0]
+    for m in range(1, 5):
+        yield prolong._kappa_ansatz(m)[0]
     yield elementary_field()
 
 
@@ -394,6 +412,30 @@ class TestClassical:
         fake = VectorField(1, ZERO, ZERO, (X,), name="fake")
         with pytest.raises(VerificationError):
             verify_classical(1, fields=[fake])
+
+
+THIRD_ORDER_ATOMS = textwrap.dedent("""
+    import sys
+    from burgers_hierarchy import cli, symcore
+
+    runs = [(kind, "1..6") for kind in ("theorem", "classical", "liealg")] + [("kappa", "1..4")]
+    for kind, ms in runs:
+        assert cli.main(["verify", kind, "--m", ms, "--out-dir", sys.argv[1]]) == 0, kind
+    print("third order:", *(a.render() for a in symcore._ATOMS
+                             if isinstance(a, symcore.JetCoord) and a.nt + a.nx >= 3))
+""")
+
+
+def test_verify_interns_no_third_order_coordinate(tmp_path):
+    # every residual holds derivatives of order at most two, so a third-order
+    # coordinate is interned only to cancel, and widens every packed
+    # monomial after it.  The atom table is process-wide, so the check runs
+    # in a fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", THIRD_ORDER_ATOMS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "third order:"
 
 
 KAPPA_M1 = [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)]   # k(k-1)(2k+1)

@@ -119,10 +119,12 @@ def reference_eval_expr(e, env):
     return total
 
 
-def prolong2_direct(field):
-    """Direct coefficient recursion,
-    eta^{J,i} = D_i(eta^J) - D_i(tau)*u_{a,J,t} - D_i(xi)*u_{a,J,x},
-    an independent path for cross-checking ``prolong.prolong2``."""
+def prolong2_characteristic(field):
+    """Characteristic-form prolongation, an independent path for
+    cross-checking the direct recursion in ``prolong.prolong2``: with
+    W_a = eta_a - tau*u_a,t - xi*u_a,x, the coefficient attached to
+    u_a,J is D_J(W_a) + tau*u_a,Jt + xi*u_a,Jx.  It builds third-order
+    terms that cancel."""
 
     def dt(e):
         return total_derivative(e, T_ATOM)
@@ -133,10 +135,11 @@ def prolong2_direct(field):
     k, tau, xi = field.tier, field.tau, field.xi
     eta_t, eta_x, eta_xx = [], [], []
     for a, eta in enumerate(field.etas, start=1):
-        ex = dx(eta) - dx(tau) * jet(k, a, nt=1) - dx(xi) * jet(k, a, nx=1)
-        eta_t.append(dt(eta) - dt(tau) * jet(k, a, nt=1) - dt(xi) * jet(k, a, nx=1))
-        eta_x.append(ex)
-        eta_xx.append(dx(ex) - dx(tau) * jet(k, a, 1, 1) - dx(xi) * jet(k, a, nx=2))
+        w = eta - tau * jet(k, a, nt=1) - xi * jet(k, a, nx=1)
+        dxw = dx(w)
+        eta_t.append(dt(w) + tau * jet(k, a, nt=2) + xi * jet(k, a, 1, 1))
+        eta_x.append(dxw + tau * jet(k, a, 1, 1) + xi * jet(k, a, nx=2))
+        eta_xx.append(dx(dxw) + tau * jet(k, a, 1, 2) + xi * jet(k, a, nx=3))
     return ProlongedField(field, tuple(eta_t), tuple(eta_x), tuple(eta_xx))
 
 
