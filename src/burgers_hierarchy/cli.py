@@ -19,12 +19,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import hopfcole, liealg, prolong
 from .hierarchy import build_companion, build_delta, build_symmetry_field
-from .prolong import kappa_poly_coefficients, poly_rem
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -99,6 +97,17 @@ def _parse_m_range(text: str, cap: int) -> list[int]:
     return ms
 
 
+def _comma_separated(kind, noun: str):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from None
+    return parse
+
+
 def _outdir(args) -> Path:
     if getattr(args, "out_dir", None):
         return Path(args.out_dir)
@@ -153,41 +162,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _kappa_target(m: int) -> tuple[list[Fraction], str]:
-    """The factor the kappa constraint must be divisible by, as
-    coefficients [c0, c1, ...] and as text."""
-    if m == 1:
-        return [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)], "kappa*(kappa-1)*(2*kappa+1)"
-    return [Fraction(0), Fraction(1), Fraction(2)], "kappa*(2*kappa+1)"
-
-
-def _verify_one(kind: str, m: int) -> dict:
-    if kind == "theorem":
-        return prolong.verify_theorem(m).to_json_dict()
-    if kind == "classical":
-        return prolong.verify_classical(m).to_json_dict()
-    if kind == "liealg":
-        table = liealg.structure_constants(m)
-        if table.jacobi_residual() != 0:
-            raise liealg.NonClosureError(f"m={m}: bracket table is not a Lie algebra")
-        doc = table.to_json_dict()
-        doc["status"] = "ok"
-        return doc
-    if kind == "kappa":
-        poly = prolong.verify_kappa_constraint(m)
-        coeffs = kappa_poly_coefficients(poly)
-        target, label = _kappa_target(m)
-        if poly_rem(coeffs, target):
-            raise prolong.VerificationError(
-                f"m={m}: constraint {poly} is not divisible by the expected factor"
-            )
-        return {
-            "m": m,
-            "status": "ok",
-            "constraint": poly.render(),
-            "divisible_by": label,
-        }
-    raise ConfigError(f"unknown verify kind {kind!r}")
+# each verify kind maps m to its artifact and raises when its verdict fails
+_VERIFY_KINDS = {
+    "theorem": lambda m: prolong.verify_theorem(m).to_json_dict(),
+    "classical": lambda m: prolong.verify_classical(m).to_json_dict(),
+    "liealg": lambda m: {**liealg.structure_constants(m).to_json_dict(), "status": "ok"},
+    "kappa": lambda m: {"m": m, "status": "ok",
+                        "constraint": prolong.verify_kappa_constraint(m).render(),
+                        "divisible_by": prolong.kappa_factor(m)[1]},
+}
 
 
 def cmd_verify(args) -> int:
@@ -197,7 +180,7 @@ def cmd_verify(args) -> int:
     results: dict[int, dict] = {}
     for m in ms:
         try:
-            results[m] = _verify_one(args.kind, m)
+            results[m] = _VERIFY_KINDS[args.kind](m)
         except (prolong.VerificationError, liealg.NonClosureError,
                 prolong.ExtractionError) as exc:
             failures.append(str(exc))
@@ -283,6 +266,8 @@ def cmd_convergence(args) -> int:
     lo, hi = args.order_window
     if not lo <= hi:
         raise ConfigError(f"--order-window needs LO <= HI, got {lo} {hi}")
+    if not (math.isfinite(args.dt_scale) and args.dt_scale > 0):
+        raise ConfigError(f"--dt-scale must be positive and finite, got {args.dt_scale}")
     vs = _load_catalog(args.catalog, args.m)
     sol = hopfcole.solve_exact(args.m, vs)
     report = fdsolve.convergence_study(
@@ -355,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("verify", help="run symbolic verification over a range of m")
-    p.add_argument("kind", choices=["theorem", "classical", "liealg", "kappa"])
+    p.add_argument("kind", choices=list(_VERIFY_KINDS))
     p.add_argument("--m", required=True, help="single value or range, e.g. 3 or 1..6")
     p.add_argument("--max-m", type=int, default=32,
                    help="safety cap for the m range (symbolic cost grows fast)")
@@ -383,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--snapshots", type=lambda s: [float(v) for v in s.split(",")],
+    p.add_argument("--snapshots", type=_comma_separated(float, "numbers"),
                    help="comma-separated offsets in [0, --t-end] from --t-start")
     p.add_argument("--tol", type=float, help="fail (exit 3) if Linf exceeds this")
     p.add_argument("--periodic", action="store_true",
@@ -394,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="refinement ladder and observed order")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--catalog", required=True)
-    p.add_argument("--ladder", type=lambda s: [int(v) for v in s.split(",")],
+    p.add_argument("--ladder", type=_comma_separated(int, "integers"),
                    default=(100, 200, 400))
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
@@ -421,10 +406,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.fn(args)
-    except (prolong.VerificationError, liealg.NonClosureError,
-            prolong.ExtractionError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     # ArithmeticError covers overflow, a zero determinant hit while
     # evaluating, solver blow-up and CFL failures
     except (hopfcole.SingularSystemError, hopfcole.CertificationError,

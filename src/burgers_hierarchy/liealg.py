@@ -6,9 +6,11 @@ translation, scaling, a Galilean boost, and a projective transformation
 close with the same rational structure constants, kept as a sparse map
 from each bracket [Xi_i, Xi_j], i < j, to its nonzero coefficients, which
 one sparse exact elimination (:func:`~burgers_hierarchy.linalg.rref`)
-yields for all brackets at once.  The cross-m isomorphism is checked as
-equality of these maps in the given bases (stronger than, and implying,
-abstract isomorphism).
+yields for all brackets at once.  :func:`structure_constants` returns
+only a table that is a Lie algebra: it raises :class:`NonClosureError`
+when a bracket leaves the span or the table breaks the Jacobi identity.
+The cross-m isomorphism is checked as equality of these maps in the
+given bases (stronger than, and implying, abstract isomorphism).
 """
 
 from __future__ import annotations
@@ -17,20 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .hierarchy import VectorField, components
+from .hierarchy import VectorField, _check_m, components
 from .linalg import rref
 from .symcore import ONE, T, X, ZERO, coefficient_rows, rational
 
 
 class NonClosureError(Exception):
-    """A commutator left the five-generator span."""
+    """A commutator left the five-generator span or broke the Jacobi identity."""
 
 
 def generators(m: int) -> list[VectorField]:
     """The five generators in their closed form for m components, read
     through :func:`~burgers_hierarchy.hierarchy.components` (u_0 = -1)."""
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_m(m)
     u = components(m)
     zeros = (ZERO,) * m
     xi1 = VectorField(m, ONE, ZERO, zeros, name="Xi1")
@@ -155,12 +156,15 @@ def _combo_str(combo: dict) -> str:
 
 
 def structure_constants(m: int) -> StructureConstants:
-    """Expand every bracket of the generators in their own basis;
-    raises :class:`NonClosureError` if a bracket escapes."""
+    """Expand every bracket of the generators in their own basis; raises
+    :class:`NonClosureError` if a bracket escapes or breaks the Jacobi identity."""
     basis = generators(m)
     pairs = list(combinations(range(1, len(basis) + 1), 2))
     coords = _expand_in_basis(
         [commutator(basis[i - 1], basis[j - 1]) for i, j in pairs], basis
     )
     brackets = {pair: combo for pair, combo in zip(pairs, coords) if combo}
-    return StructureConstants(m, len(basis), brackets)
+    table = StructureConstants(m, len(basis), brackets)
+    if table.jacobi_residual() != 0:
+        raise NonClosureError(f"m={m}: bracket table is not a Lie algebra")
+    return table

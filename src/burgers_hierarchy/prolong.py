@@ -4,7 +4,10 @@ The conditional-symmetry computation follows the standard scheme: extend
 the generator to jet coordinates, apply it to each system residual, then
 restrict to the solution manifold (the system itself and the invariant
 surface conditions).  What remains is a polynomial in the first-order
-x-derivatives whose coefficients are the determining quantities.
+x-derivatives whose coefficients are the determining quantities.  The
+checks :func:`verify_theorem`, :func:`verify_classical` and
+:func:`verify_kappa_constraint` raise :class:`VerificationError` when their
+verdict fails.
 
 Every residual u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x holds only u_a,
 u_a,t, u_a,x and u_a,xx, so only their coefficients eta^t, eta^x and
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations_with_replacement
 import time
 
 from .hierarchy import (PdeSystem, VectorField, build_delta, build_symmetry_field,
@@ -379,7 +383,8 @@ def verify_kappa_constraint(m: int) -> Expr:
     dependent variable, so instead the second-derivative condition is
     integrated (a polynomial quadrature in u_1) and the leading
     coefficient of the re-derived determining polynomial is extracted.
-    Returns the monic gcd of the collected constraints.
+    Returns the monic gcd of the collected constraints, and raises
+    :class:`VerificationError` unless :func:`kappa_factor` divides it.
     """
     if m >= 2:
         constraints = _kappa_obstructions_multi(m)
@@ -390,7 +395,18 @@ def verify_kappa_constraint(m: int) -> Expr:
     g: list[Fraction] = []
     for c in constraints:
         g = _poly_gcd(g, c)
-    return _poly_from_coeffs(g)
+    poly = _poly_from_coeffs(g)
+    if poly_rem(g, kappa_factor(m)[0]):
+        raise VerificationError(
+            f"m={m}: constraint {poly} is not divisible by the expected factor")
+    return poly
+
+
+def kappa_factor(m: int) -> tuple[list[Fraction], str]:
+    """The paper's factor of the kappa constraint: coefficients [c0, c1, ...] and text."""
+    if m == 1:
+        return [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)], "kappa*(kappa-1)*(2*kappa+1)"
+    return [Fraction(0), Fraction(1), Fraction(2)], "kappa*(2*kappa+1)"
 
 
 def _kappa_ansatz(m: int):
@@ -437,13 +453,15 @@ def _kappa_obstructions_multi(m: int) -> list[list[Fraction]]:
                 table[(b, c)] = _solve_linear_atom(coeff, atom)
         second.append(table)
 
+    # the third partial eta_a,{u_b u_c u_d}, b <= c <= d, is d/du_x of the
+    # entry (lo, hi) in every distinct index order (x, lo, hi); all must agree
     obstructions: list[list[Fraction]] = []
     for table in second:
-        for (b, c), val_bc in table.items():
-            for d in range(1, m + 1):
-                lo, hi = min(b, d), max(b, d)
-                diff = partial_derivative(val_bc, u_atoms[d - 1]) - \
-                    partial_derivative(table[(lo, hi)], u_atoms[c - 1])
+        for b, c, d in combinations_with_replacement(range(1, m + 1), 3):
+            first, *rest = [partial_derivative(table[(lo, hi)], u_atoms[x - 1])
+                            for x, lo, hi in dict.fromkeys([(d, b, c), (c, b, d), (b, c, d)])]
+            for other in rest:
+                diff = first - other
                 # one polynomial in kappa per monomial in the other atoms
                 others = diff.atoms() - {kappa_atom}
                 for part in collect_coefficients(diff, others).values():

@@ -235,7 +235,6 @@ _FIELD: list[int] = []       # mask of each atom's field
 _KEYS: list = []             # sort_key() of each atom
 _GUARD = 0                   # top bit of every field
 _FUNC_MASK = 0               # fields of FuncApp atoms
-_COMPOUND = 0                # fields of atoms that depend on other atoms
 _LOCK = threading.Lock()
 
 
@@ -250,7 +249,7 @@ def _intern(a: Atom) -> int:
 
 
 def _register(a: Atom) -> int:
-    global _GUARD, _FUNC_MASK, _COMPOUND
+    global _GUARD, _FUNC_MASK
     i = len(_ATOMS)
     if i < 2:
         width, shift = _WIDE, _WIDE * i
@@ -264,8 +263,6 @@ def _register(a: Atom) -> int:
     _GUARD |= 1 << (shift + width - 1)
     if isinstance(a, FuncApp):
         _FUNC_MASK |= field
-    if isinstance(a, FuncApp) or (isinstance(a, OpaqueDeriv) and a.symbol.args):
-        _COMPOUND |= field
     _INDEX[a] = i  # last, so an index found is complete
     return i
 
@@ -715,10 +712,6 @@ def total_derivative(e: Expr, v) -> Expr:
 def partial_derivative(e: Expr, wrt: Atom) -> Expr:
     """Partial derivative treating all other atoms as independent; opaque
     symbols depend on their declared arguments."""
-    i = _INDEX.get(wrt)
-    # no atom of e is wrt or may depend on it
-    if not reduce(or_, e._terms, 0) & (_COMPOUND | (_FIELD[i] if i is not None else 0)):
-        return ZERO
     return derivation(e, lambda a: ONE if a == wrt else None)
 
 

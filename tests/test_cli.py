@@ -7,11 +7,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from burgers_hierarchy import liealg, prolong
 from burgers_hierarchy.cli import build_parser, main
+from tests_support import sabotage_symmetry_field
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_REFERENCE = ROOT / "perfbench" / "reference" / "verify.json"
@@ -138,6 +141,28 @@ class TestVerify:
                      "--out-dir", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "verify_liealg_m3.json").read_text())
         assert doc["identical_to_first"] is True
+
+    def test_failed_theorem_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
+        sabotage_symmetry_field(monkeypatch, lambda u, w: u(1))
+        assert main(["verify", "theorem", "--m", "2", "--out-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("FAIL: m=2, eq 1: coefficient of u[1,1] is not a combination "
+                              "of the follow-up residuals")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind, owner, attr, patch, message", [
+        ("kappa", prolong, "_kappa_obstructions_multi", lambda m: [[Fraction(0), Fraction(1)]],
+         "m=2: constraint kappa is not divisible by the expected factor"),
+        ("liealg", liealg.StructureConstants, "jacobi_residual", lambda self: Fraction(1),
+         "m=2: bracket table is not a Lie algebra"),
+    ], ids=["kappa", "jacobi"])
+    def test_failed_verdict_is_reported(self, tmp_path, capsys, monkeypatch,
+                                        kind, owner, attr, patch, message):
+        monkeypatch.setattr(owner, attr, patch)
+        assert main(["verify", kind, "--m", "2", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"FAIL: {message}\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind", ["theorem", "classical", "liealg", "kappa"])
     def test_artifacts_match_benchmark_reference(self, tmp_path, kind):
@@ -397,6 +422,36 @@ class TestSolveAndConvergence:
                      "--t-end", "0.01", f"--snapshots={snapshots}",
                      "--out-dir", str(out)]) == 4
         assert not out.exists()
+
+    def test_order_outside_window_is_numerical_failure(self, tmp_path, capsys):
+        assert main(["convergence", "--m", "2", "--catalog", str(ROOT / "demos" / "catalog_m2.json"),
+                     "--x-min", "2", "--x-max", "4", "--t-end", "0.01", "--ladder", "20,40,80",
+                     "--order-window", "3", "4", "--out-dir", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "convergence m=2: observed L2 orders [1.951, 1.992]\n"
+        assert err == "FAIL: observed order outside [3.0, 4.0]\n"
+        assert (tmp_path / "convergence_m2.json").is_file()
+
+    @pytest.mark.parametrize("command, bad, message", [
+        ("solve", ["--snapshots", "0.005,x"],
+         "argument --snapshots: expected comma-separated numbers, got '0.005,x'"),
+        ("convergence", ["--ladder", "20,4x"],
+         "argument --ladder: expected comma-separated integers, got '20,4x'"),
+    ], ids=["snapshots", "ladder"])
+    def test_bad_list_names_the_expected_input(self, tmp_path, catalog, capsys,
+                                               command, bad, message):
+        assert main([command, "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--t-end", "0.01", *bad,
+                     "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("scale", ["0", "-0.25"])
+    def test_non_positive_dt_scale_names_the_flag(self, tmp_path, catalog, capsys, scale):
+        assert main(["convergence", "--m", "2", "--catalog", catalog(CATALOG_M2),
+                     "--x-min", "2", "--x-max", "4", "--t-end", "0.01", f"--dt-scale={scale}",
+                     "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == \
+            f"config error: --dt-scale must be positive and finite, got {float(scale)}\n"
 
     @pytest.mark.parametrize("command, bad", [
         ("solve", ["--t-end", "nan"]),  # used to report the initial state

@@ -83,6 +83,11 @@ class TestGenerators:
         assert xi4.etas == (2 * ONE, (2 - 2 - 1) * u1)
         assert xi5.etas[1] == -((2 - 1) * (X * u1 + 2) + 2 * T * u2)
 
+    @pytest.mark.parametrize("m", [0, -1, 1.0])
+    def test_bad_m(self, m):
+        with pytest.raises(ValueError, match=f"^m must be a positive integer, got {m!r}$"):
+            generators(m)
+
 
 class TestCommutator:
     def test_translations_commute(self):
@@ -162,6 +167,11 @@ class TestStructureConstants:
         broken = dataclasses.replace(table, brackets={**table.brackets, (3, 4): {4: Fraction(2)}})
         assert broken.jacobi_residual() != 0
         assert 6 * broken.jacobi_residual() == dense_jacobi_residual(broken)
+
+    def test_table_breaking_jacobi_raises(self, monkeypatch):
+        monkeypatch.setattr(liealg.StructureConstants, "jacobi_residual", lambda self: Fraction(1))
+        with pytest.raises(NonClosureError, match=r"^m=2: bracket table is not a Lie algebra$"):
+            structure_constants(2)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_sparse_jacobi_matches_dense_sum(self, m):

@@ -44,7 +44,7 @@ from burgers_hierarchy.symcore import (
     sin,
 )
 from tests_support import (prolong2_characteristic, reference_apply, reference_prolonged_apply,
-                           reordered)
+                           reordered, sabotage_symmetry_field)
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
@@ -382,6 +382,18 @@ class TestTheorem:
                 if not solved.apply(res).is_zero():
                     raise VerificationError("nonzero residual")
 
+    @pytest.mark.parametrize("extra, message", [
+        (lambda u, w: u(1), "not a combination of the follow-up residuals; leftover u[2,1]_x"),
+        # a follow-up time derivative times a follow-up variable
+        (lambda u, w: w(1) * w(1, nt=1),
+         "not linear with rational weights in the follow-up time derivatives"),
+    ], ids=["leftover", "irrational-weight"])
+    def test_sabotaged_field_names_the_coefficient(self, monkeypatch, extra, message):
+        sabotage_symmetry_field(monkeypatch, extra)
+        with pytest.raises(VerificationError) as exc:
+            verify_theorem(2)
+        assert str(exc.value) == f"m=2, eq 1: coefficient of u[1,1] is {message}"
+
     def test_report_json_shape(self):
         doc = verify_theorem(2).to_json_dict()
         assert doc["status"] == "ok"
@@ -475,6 +487,20 @@ class TestKappa:
         assert sum(coeffs) == 0
         coeffs2 = kappa_poly_coefficients(verify_kappa_constraint(2))
         assert sum(coeffs2) != 0
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_factor_matches_the_paper(self, m):
+        coeffs, label = prolong.kappa_factor(m)
+        assert coeffs == (KAPPA_M1 if m == 1 else KAPPA_GEN)
+        assert label == ("kappa*(kappa-1)*(2*kappa+1)" if m == 1 else "kappa*(2*kappa+1)")
+
+    def test_constraint_without_the_factor_raises(self, monkeypatch):
+        # kappa alone is not divisible by kappa*(2*kappa+1)
+        monkeypatch.setattr(prolong, "_kappa_obstructions_multi",
+                            lambda m: [[Fraction(0), Fraction(1)]])
+        with pytest.raises(VerificationError) as exc:
+            verify_kappa_constraint(2)
+        assert str(exc.value) == "m=2: constraint kappa is not divisible by the expected factor"
 
 
 class TestBenchmarkTracerNames:

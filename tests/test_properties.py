@@ -574,6 +574,12 @@ def bits(values):
 @given(st.integers(1, 3).flatmap(lambda m: st.lists(ENTRIES, min_size=m, max_size=m)),
        st.lists(st.tuples(st.floats(0.05, 2.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4),
        st.integers(1, 3), st.integers(-3, 3))
+# v_k = exp(k^2 t + k x) + P_{k+1}, k = 1..4: D has 158 terms and each numerator
+# over 64, so the plan adds each sum in more than one statement
+@example([{"kind": "sum", "terms": [
+    {"coeff": "1", "term": {"kind": "exponential", "a": str(k)}},
+    {"coeff": "1", "term": {"kind": "heat_polynomial", "degree": k + 1}}]} for k in range(1, 5)],
+    [(0.5, -1.25), (1.5, 0.75)], 1, -2)
 def test_float_plan_matches_eval_expr(catalog, points, t_int, x_int):
     """evaluate (the plan compiled from the terms) gives the floats of
     eval_expr on _env exactly; int and np.float64 input gives the Python

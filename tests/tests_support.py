@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 from fractions import Fraction
 
+from burgers_hierarchy import prolong
+from burgers_hierarchy.hierarchy import build_symmetry_field, components
 from burgers_hierarchy.prolong import ProlongedField
 from burgers_hierarchy.symcore import (
     Expr,
@@ -170,3 +173,15 @@ def reference_rref(rows, ncols):
 def densify(rows, width):
     """Sparse {column: entry} rows as dense lists of Fraction."""
     return [[row.get(c, Fraction(0)) for c in range(width)] for row in rows]
+
+
+def sabotage_symmetry_field(monkeypatch, extra):
+    """Make ``verify_theorem`` use the symmetry field with ``extra(u, w)``
+    added to eta_1, where u and w read the components of the system and
+    of its follow-up."""
+    def build(m):
+        field = build_symmetry_field(m)
+        eta1 = field.etas[0] + extra(components(m), components(m + 2))
+        return dataclasses.replace(field, etas=(eta1, *field.etas[1:]))
+
+    monkeypatch.setattr(prolong, "build_symmetry_field", build)
