@@ -114,7 +114,8 @@ def _outdir(args) -> Path:
     return Path(os.environ.get(OUTDIR_ENV, "."))
 
 
-def _load_catalog(path: str, m: int) -> list[hopfcole.HeatSolution]:
+def _load_catalog(path: str, m: int) -> hopfcole.ExactSolution:
+    """The exact solution of the m-entry heat-data catalog at ``path``."""
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -127,7 +128,7 @@ def _load_catalog(path: str, m: int) -> list[hopfcole.HeatSolution]:
         raise ConfigError(f"bad catalog: {exc}") from exc
     if len(vs) != m:
         raise ConfigError(f"catalog has {len(vs)} entries, need m={m}")
-    return vs
+    return hopfcole.solve_exact(m, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,7 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     if args.points < 0:
         raise ConfigError(f"--points must be >= 0, got {args.points}")
-    vs = _load_catalog(args.catalog, args.m)
-    sol = hopfcole.solve_exact(args.m, vs)
+    sol = _load_catalog(args.catalog, args.m)
     outdir = _outdir(args)
     doc = sol.to_json_dict()
     if args.certify:
@@ -230,8 +230,7 @@ def cmd_solve(args) -> int:
     offsets = args.snapshots or []
     if any(not 0 <= s <= args.t_end for s in offsets):
         raise ConfigError(f"--snapshots must lie in [0, --t-end={args.t_end}]")
-    vs = _load_catalog(args.catalog, args.m)
-    sol = hopfcole.solve_exact(args.m, vs)
+    sol = _load_catalog(args.catalog, args.m)
     # a periodic grid has period x_max - x_min, so its last point is x_max - dx
     x_last = args.x_max - (args.x_max - args.x_min) / args.nx if args.periodic else args.x_max
     grid = fdsolve.Grid1D(args.x_min, x_last, args.nx, args.dt, args.t_end,
@@ -268,8 +267,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"--order-window needs LO <= HI, got {lo} {hi}")
     if not (math.isfinite(args.dt_scale) and args.dt_scale > 0):
         raise ConfigError(f"--dt-scale must be positive and finite, got {args.dt_scale}")
-    vs = _load_catalog(args.catalog, args.m)
-    sol = hopfcole.solve_exact(args.m, vs)
+    sol = _load_catalog(args.catalog, args.m)
     report = fdsolve.convergence_study(
         args.m, sol, args.ladder, args.x_min, args.x_max, args.t_end,
         dt_scale=args.dt_scale, t_start=args.t_start,
@@ -318,12 +316,6 @@ def cmd_report(args) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or .)")
-    p.add_argument("--no-meta", action="store_true",
-                   help="omit meta (timing) fields from JSON artifacts")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Each parse returns a
@@ -332,67 +324,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="burgers-hierarchy",
                      description="coupled Burgers-like systems toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers: each option shared by several subcommands, declared once
+    output, catalog, domain, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    output.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or .)")
+    output.add_argument("--no-meta", action="store_true",
+                        help="omit meta (timing) fields from JSON artifacts")
+    catalog.add_argument("--m", type=int, required=True)
+    catalog.add_argument("--catalog", required=True, help="JSON list of heat-solution records")
+    domain.add_argument("--x-min", type=float, required=True)
+    domain.add_argument("--x-max", type=float, required=True)
+    domain.add_argument("--t-start", type=float, default=0.0)
+    domain.add_argument("--t-end", type=float, required=True)
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("gen", parents=[], help="render a system, its matrix form, and its symmetry field")
+    p = sub.add_parser("gen", parents=[fmt],
+                       help="render a system, its matrix form, and its symmetry field")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("verify", help="run symbolic verification over a range of m")
+    p = sub.add_parser("verify", parents=[output],
+                       help="run symbolic verification over a range of m")
     p.add_argument("kind", choices=list(_VERIFY_KINDS))
     p.add_argument("--m", required=True, help="single value or range, e.g. 3 or 1..6")
     p.add_argument("--max-m", type=int, default=32,
                    help="safety cap for the m range (symbolic cost grows fast)")
-    _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("exact", help="solve the linear system for a heat-data catalog")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--catalog", required=True, help="JSON list of heat-solution records")
+    p = sub.add_parser("exact", parents=[catalog, output],
+                       help="solve the linear system for a heat-data catalog")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--points", type=int, default=100,
                    help="number of rows in exact_m<N>.csv")
     p.add_argument("--box", type=float, nargs=4, default=(0.1, 1.0, -3.0, 3.0),
                    metavar=("TMIN", "TMAX", "XMIN", "XMAX"))
     p.add_argument("--seed", type=int, default=20250)
-    _add_common(p)
     p.set_defaults(fn=cmd_exact)
 
-    p = sub.add_parser("solve", help="finite-difference run validated against the exact solution")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
+    p = sub.add_parser("solve", parents=[catalog, domain, output],
+                       help="finite-difference run validated against the exact solution")
     p.add_argument("--nx", type=int, default=400)
     p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--snapshots", type=_comma_separated(float, "numbers"),
                    help="comma-separated offsets in [0, --t-end] from --t-start")
     p.add_argument("--tol", type=float, help="fail (exit 3) if Linf exceeds this")
     p.add_argument("--periodic", action="store_true",
                    help="periodic grid instead of Dirichlet data from the exact solution")
-    _add_common(p)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("convergence", help="refinement ladder and observed order")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--catalog", required=True)
+    p = sub.add_parser("convergence", parents=[catalog, domain, output],
+                       help="refinement ladder and observed order")
     p.add_argument("--ladder", type=_comma_separated(int, "integers"),
                    default=(100, 200, 400))
-    p.add_argument("--x-min", type=float, required=True)
-    p.add_argument("--x-max", type=float, required=True)
-    p.add_argument("--t-start", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--dt-scale", type=float, default=0.25)
     p.add_argument("--order-window", type=float, nargs=2, default=(1.8, 2.2))
-    _add_common(p)
     p.set_defaults(fn=cmd_convergence)
 
-    p = sub.add_parser("report", help="summarize JSON reports in a directory")
+    p = sub.add_parser("report", parents=[fmt], help="summarize JSON reports in a directory")
     p.add_argument("--dir", required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(fn=cmd_report)
 
     return parser

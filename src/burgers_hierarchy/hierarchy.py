@@ -214,12 +214,3 @@ def build_symmetry_field(m: int) -> VectorField:
         for a in range(1, m + 1)
     )
     return VectorField(m, ONE, xi, etas, name=f"conditional-{m}")
-
-
-def degenerate_direction_rules(m: int) -> SubstitutionMap:
-    """Identify the fresh symbols w_a with the base variables u_a (so
-    w_{m+1} and w_{m+2} become 0); under these rules the symmetry field
-    vanishes."""
-    k = tier_of(m)
-    u = components(m)
-    return SubstitutionMap((JetCoord(k + 1, a), u(a)) for a in range(1, m + 3))

@@ -33,7 +33,6 @@ from .symcore import (
     ONE,
     OpaqueDeriv,
     OpaqueSymbol,
-    SubstitutionMap,
     T,
     T_ATOM,
     X,
@@ -77,22 +76,21 @@ NumericAtomMap = dict[Atom, Callable[[float, float], float]]
 class HeatSolution:
     """A closed-form solution of v_t = v_xx.
 
-    ``rules`` give the differential closure of any auxiliary atoms (the
-    shifted-Gaussian amplitude), ``numeric_atoms`` their pointwise
-    values.  Construction verifies the heat equation exactly.
+    ``closure`` holds the total t-derivative of each auxiliary atom (the
+    shifted-Gaussian amplitude, a function of t alone, so its x-derivative
+    is 0), ``numeric_atoms`` their pointwise values.  Construction
+    verifies the heat equation exactly.
     """
 
     expr: Expr
     label: str = ""
-    rules: SubstitutionMap | None = None
+    closure: dict[Atom, Expr] = field(default_factory=dict)
     numeric_atoms: NumericAtomMap = field(default_factory=dict)
 
     def __post_init__(self):
-        residual = total_derivative(self.expr, "t") - total_derivative(
+        residual = total_derivative(self.expr, "t", self.closure) - total_derivative(
             total_derivative(self.expr, "x"), "x"
         )
-        if self.rules is not None:
-            residual = self.rules.apply(residual)
         if not residual.is_zero():
             raise HeatSolutionError(
                 f"{self.label or self.expr}: v_t - v_xx = {residual} != 0"
@@ -136,8 +134,8 @@ def heat_polynomial(n: int) -> HeatSolution:
 def heat_gaussian(t0) -> HeatSolution:
     """The kernel (t + t0)^(-1/2) * exp(-x^2 / (4 (t + t0))), t0 > 0.
 
-    The amplitude s = (t + t0)^(-1/2) is kept as an auxiliary atom with
-    the closure rule ds/dt = -s^3/2, which keeps the heat check and all
+    The amplitude s = (t + t0)^(-1/2) is kept as an auxiliary atom whose
+    closure gives ds/dt = -s^3/2, which keeps the heat check and all
     residual computations polynomial.
     """
     t0 = _as_rat(t0)
@@ -145,13 +143,13 @@ def heat_gaussian(t0) -> HeatSolution:
         raise ValueError("t0 must be positive")
     tag = f"{t0.numerator}" + (f"q{t0.denominator}" if t0.denominator != 1 else "")
     sym = OpaqueSymbol(f"gk{tag}", (T_ATOM,))
+    amplitude = OpaqueDeriv(sym, (0,))
     s = sym.expr()
-    s_t = OpaqueDeriv(sym, (1,))
-    rules = SubstitutionMap([(s_t, -(s ** 3) / 2)])
     expr = s * exp(-(X ** 2) * s ** 2 / 4)
     t0f = float(t0)
-    numeric = {OpaqueDeriv(sym, (0,)): lambda t, x: (t + t0f) ** -0.5}
-    return HeatSolution(expr, label=f"gaussian(t0={t0})", rules=rules, numeric_atoms=numeric)
+    numeric = {amplitude: lambda t, x: (t + t0f) ** -0.5}
+    return HeatSolution(expr, label=f"gaussian(t0={t0})", closure={amplitude: -(s ** 3) / 2},
+                        numeric_atoms=numeric)
 
 
 def heat_sum(terms: Iterable[tuple[object, HeatSolution]]) -> HeatSolution:
@@ -160,21 +158,19 @@ def heat_sum(terms: Iterable[tuple[object, HeatSolution]]) -> HeatSolution:
     expr = ZERO
     for c, sol in terms:
         expr = expr + as_expr(c) * sol.expr
-    rules, numeric = _merged_closure(sol for _, sol in terms)
+    closure, numeric = _merged_closure(sol for _, sol in terms)
     label = " + ".join(f"{c}*{sol.label}" for c, sol in terms)
-    return HeatSolution(expr, label=label, rules=rules, numeric_atoms=numeric)
+    return HeatSolution(expr, label=label, closure=closure, numeric_atoms=numeric)
 
 
 def _merged_closure(sols: Iterable[HeatSolution]):
-    """(rules, numeric atoms) of ``sols`` merged in order; rules are None
-    when no solution has any."""
-    rules: dict = {}
+    """(closure, numeric atoms) of ``sols`` merged in order."""
+    closure: dict[Atom, Expr] = {}
     numeric: NumericAtomMap = {}
     for sol in sols:
-        if sol.rules is not None:
-            rules.update(sol.rules.rules)
+        closure.update(sol.closure)
         numeric.update(sol.numeric_atoms)
-    return (SubstitutionMap(rules) if rules else None), numeric
+    return closure, numeric
 
 
 def _as_rat(v) -> Fraction:
@@ -236,8 +232,6 @@ def hopfcole_matrix(m: int, vs: Sequence[HeatSolution]) -> tuple[list[list[Expr]
         e = v.expr
         for _ in range(m):
             e = total_derivative(e, "x")
-            if v.rules is not None:
-                e = v.rules.apply(e)
             derivs.append(e)
         rows.append([as_expr(Fraction(-2) ** j) * derivs[j] for j in range(m)])
         rhs.append(as_expr(Fraction(-2) ** m) * derivs[m])
@@ -326,7 +320,7 @@ class ExactSolution:
     numerators: list[Expr]
     det: Expr
     matrix: list[list[Expr]]
-    rules: SubstitutionMap | None
+    closure: dict[Atom, Expr]
     numeric_atoms: NumericAtomMap
     labels: list[str]
     _residuals: list[RationalExpr] | None = None
@@ -381,8 +375,9 @@ class ExactSolution:
         """
         if self._residuals is None:
             def d(e: Expr, v: str) -> Expr:
-                e = total_derivative(e, v)
-                return e if self.rules is None else self.rules.apply(e)
+                # an auxiliary atom depends on t alone: its D_x is 0, and
+                # the closure is D_t's image of it
+                return total_derivative(e, v, self.closure if v == "t" else None)
 
             det = self.det
             det_x = d(det, "x")
@@ -430,13 +425,13 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
         raise SingularSystemError(msg, witness) from None
     # unknown order is (u_m, ..., u_1): reverse into component order
     numerators = list(reversed(unknown_nums))
-    rules, numeric = _merged_closure(vs)
+    closure, numeric = _merged_closure(vs)
     return ExactSolution(
         m=m,
         numerators=numerators,
         det=det,
         matrix=matrix,
-        rules=rules,
+        closure=closure,
         numeric_atoms=numeric,
         labels=[v.label for v in vs],
     )
@@ -492,8 +487,9 @@ def certify(sol: ExactSolution) -> CertifyReport:
     """Prove that sol solves the system: every residual R_a is 0.
 
     Heat data always pass.  Each :class:`HeatSolution` satisfies
-    v_t = v_xx canonically (construction checks it after its rules); the
-    kernel's D_t and D_x commute and the rules fix reduced expressions, so
+    v_t = v_xx canonically (construction checks it, with D_t taking each
+    auxiliary atom to its closure image); the kernel's D_t and D_x commute,
+    since an auxiliary atom's D_x is 0 and its D_t image is free of x, so
     d_t d_x^j v = d_x^{j+2} v canonically.  R_a is a polynomial in the
     entries d_x^j v_i that the Hopf-Cole identity makes the zero
     polynomial, and a polynomial identity still holds mapped into the

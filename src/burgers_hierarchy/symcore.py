@@ -642,15 +642,10 @@ def derivation(e: Expr, image: Callable[[Atom], Expr | None]) -> Expr:
     one power of the atom taken off times the atom's image."""
     terms = e._terms
     diffs: dict[int, Expr] = {}  # atom index -> its nonzero image
-    seen = 0  # fields of the atoms whose image is known
-    for p in terms:  # images in order of first occurrence
-        new = p & ~seen
-        if new:
-            for i in _fields(new):
-                d = _atom_derivative(_ATOMS[i], image)
-                if d._terms:
-                    diffs[i] = d
-                seen |= _FIELD[i]
+    for i in _fields(reduce(or_, terms, 0)):
+        d = _atom_derivative(_ATOMS[i], image)
+        if d._terms:
+            diffs[i] = d
     if not diffs:
         return ZERO
     # each image's numerators over one common denominator, once
@@ -697,16 +692,18 @@ def _atom_derivative(a: Atom, image: Callable[[Atom], Expr | None]) -> Expr:
     return ZERO
 
 
-def total_derivative(e: Expr, v) -> Expr:
+def total_derivative(e: Expr, v, images: Mapping[Atom, Expr] | None = None) -> Expr:
     """Total derivative D/Dv on jet space: jet coordinates gain one
-    derivative in ``v``, opaque symbols chain over their declared
-    arguments."""
+    derivative in ``v``, an atom in ``images`` goes to its image there
+    (the known D/Dv of an auxiliary atom), and other opaque symbols chain
+    over their declared arguments."""
     if isinstance(v, str):
         v = Var(v)
     if not isinstance(v, Var):
         raise TypeError("differentiation variable must be t or x")
+    known = images or {}
     return derivation(e, lambda a: ONE if a == v else
-                      Expr.from_atom(a.bumped(v)) if isinstance(a, JetCoord) else None)
+                      Expr.from_atom(a.bumped(v)) if isinstance(a, JetCoord) else known.get(a))
 
 
 def partial_derivative(e: Expr, wrt: Atom) -> Expr:
@@ -861,13 +858,8 @@ def collect_coefficients(e: Expr, variables: Iterable) -> dict[Expr, Expr]:
                     f"{a.symbol.name} depends non-polynomially on a collection variable"
                 )
             checked |= _FIELD[i]
-        group = groups.setdefault(p & vmask, {})
-        s = group.get(rest, 0) + c
-        if s:
-            group[rest] = s
-        else:
-            del group[rest]
-    return {Expr({vp: 1}): _reduced(g, e._den) for vp, g in groups.items() if g}
+        groups.setdefault(p & vmask, {})[rest] = c
+    return {Expr({vp: 1}): _reduced(g, e._den) for vp, g in groups.items()}
 
 
 def powers_of(e: Expr, atom: Atom) -> dict[int, Expr]:

@@ -1,5 +1,6 @@
 """Exit-code contract, artifact determinism, and file formats."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -142,6 +143,27 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify_liealg_m3.json").read_text())
         assert doc["identical_to_first"] is True
 
+    def test_liealg_tables_that_differ_fail(self, tmp_path, capsys, monkeypatch):
+        original = liealg.structure_constants
+
+        def patched(m):
+            table = original(m)
+            if m == 2:
+                table = dataclasses.replace(
+                    table, brackets={**table.brackets, (3, 4): {4: Fraction(2)}})
+            return table
+
+        monkeypatch.setattr(liealg, "structure_constants", patched)
+        assert main(["verify", "liealg", "--m", "1..2", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "FAIL: m=2: structure constants differ from m=1\n"
+        doc = json.loads((tmp_path / "verify_liealg_m2.json").read_text())
+        assert doc["identical_to_first"] is False
+
+    def test_m_below_one_is_config_error(self, tmp_path, capsys):
+        assert main(["verify", "theorem", "--m", "0..2", "--out-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == "config error: m must be >= 1\n"
+        assert not any(tmp_path.iterdir())
+
     def test_failed_theorem_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
         sabotage_symmetry_field(monkeypatch, lambda u, w: u(1))
         assert main(["verify", "theorem", "--m", "2", "--out-dir", str(tmp_path)]) == 2
@@ -281,6 +303,14 @@ class TestExact:
     def test_missing_catalog_is_config_error(self, tmp_path):
         assert main(["exact", "--m", "2", "--catalog", "/nonexistent.json",
                      "--out-dir", str(tmp_path)]) == 4
+
+    def test_invalid_json_catalog_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        path.write_text("[{")
+        assert main(["exact", "--m", "1", "--catalog", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith("config error: catalog is not valid JSON: ")
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_length_catalog(self, tmp_path, catalog):
         path = catalog(CATALOG_M1)

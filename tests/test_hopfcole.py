@@ -2,6 +2,8 @@
 and the invariance properties of the construction."""
 
 from fractions import Fraction
+import hashlib
+import json
 import math
 import os
 from pathlib import Path
@@ -31,10 +33,14 @@ from burgers_hierarchy.hopfcole import (
     sample_points,
     solve_exact,
 )
-from burgers_hierarchy.symcore import ONE, T, X, ZERO, Expr, cos, cosh, exp, sin, total_derivative
+from burgers_hierarchy.symcore import (ONE, T, X, ZERO, Expr, cos, cosh, exp, jet, sin,
+                                      total_derivative)
 
 
 ROOT = Path(__file__).resolve().parent.parent
+# {catalog key: determinant and numerator hashes} of every catalog the
+# benchmark's exact-certify workload solves
+EXACT_REFERENCE = json.loads((ROOT / "perfbench" / "reference" / "exact.json").read_text())
 
 
 def mixed_catalog(m: int):
@@ -82,9 +88,14 @@ class TestHeatCatalog:
         with pytest.raises(HeatSolutionError):
             HeatSolution(exp(X))
 
+    def test_jet_coordinate_is_not_heat_data(self):
+        # D_t and D_x still give a jet coordinate a derivative: u_t - u_xx != 0
+        with pytest.raises(HeatSolutionError):
+            HeatSolution(jet(1, 1))
+
     def test_sum_closure(self):
         s = heat_sum([(Fraction(1, 3), heat_polynomial(4)), (-2, heat_gaussian(2))])
-        assert s.rules is not None
+        assert s.closure == heat_gaussian(2).closure
 
     def test_catalog_json(self):
         doc = [
@@ -192,6 +203,33 @@ class TestExactPastM4:
             assert proc.returncode == 0, proc.stderr
             digests.add(proc.stdout.strip())
         assert len(digests) == 1, digests
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_REFERENCE),
+                         ids=[f"ref{i}" for i in range(len(EXACT_REFERENCE))])
+class TestBenchmarkCatalogs:
+    def test_reference_hashes_and_certificate(self, key):
+        expected = EXACT_REFERENCE[key]
+        vs = catalog_from_json(json.loads(key))
+        sol = solve_exact(len(vs), vs)
+
+        def sha256(e):
+            return hashlib.sha256(e.render().encode()).hexdigest()
+
+        assert sha256(sol.det) == expected["determinant"]
+        assert [sha256(n) for n in sol.numerators] == expected["numerators"]
+        assert certify(sol).passed
+
+    def test_first_numerators_are_derivatives_of_the_determinant(self, key):
+        # the tau form, independent of Cramer's rule: u_1 = -2 D_x / D and
+        # u_2 = 2 (D_t - D_xx) / D, with D_t through the heat data's closure
+        vs = catalog_from_json(json.loads(key))
+        sol = solve_exact(len(vs), vs)
+        det_x = total_derivative(sol.det, "x")
+        assert sol.numerators[0] == -2 * det_x
+        if sol.m >= 2:
+            det_t = total_derivative(sol.det, "t", sol.closure)
+            assert sol.numerators[1] == 2 * (det_t - total_derivative(det_x, "x"))
 
 
 class TestCertification:

@@ -370,17 +370,17 @@ class TestTheorem:
         assert eq1["u[1,1]_x"] == {"1": "-1/2"}
         assert eq1["1"] == {"3": "1/4"}
 
-    def test_broken_field_fails_loudly(self):
-        field = build_symmetry_field(1)
-        broken = VectorField(1, field.tau, field.xi + jet(2, 1),
-                             field.etas, name="broken")
-        with pytest.raises(VerificationError):
-            restricted = determining_polynomials(broken)
-            follow_up = build_delta(3)
-            solved = follow_up.solved_rules()
-            for res in restricted:
-                if not solved.apply(res).is_zero():
-                    raise VerificationError("nonzero residual")
+    def test_broken_field_fails_loudly(self, monkeypatch):
+        # verify_theorem itself rejects the field with w_1 added to xi
+        def broken(m):
+            field = build_symmetry_field(m)
+            return VectorField(m, field.tau, field.xi + jet(2, 1), field.etas, name="broken")
+
+        monkeypatch.setattr(prolong, "build_symmetry_field", broken)
+        with pytest.raises(VerificationError) as exc:
+            verify_theorem(1)
+        assert str(exc.value) == ("m=1, eq 1: coefficient of u[1,1]^2 is not a combination of "
+                                  "the follow-up residuals; leftover 1/2*u[2,1]*u[2,1]_x")
 
     @pytest.mark.parametrize("extra, message", [
         (lambda u, w: u(1), "not a combination of the follow-up residuals; leftover u[2,1]_x"),
@@ -479,6 +479,9 @@ class TestKappa:
         coeffs = kappa_poly_coefficients(verify_kappa_constraint(m))
         assert poly_divides(KAPPA_GEN, coeffs)
         assert coeffs[0] == 0  # kappa divides it
+
+    def test_zero_constraint_has_the_zero_coefficient_list(self):
+        assert kappa_poly_coefficients(ZERO) == [Fraction(0)]
 
     def test_m1_not_divisible_by_coupled_extra_root(self):
         # the single-component constraint has the extra root kappa = 1
