@@ -323,7 +323,8 @@ class ExactSolution:
     closure: dict[Atom, Expr]
     numeric_atoms: NumericAtomMap
     labels: list[str]
-    _residuals: list[RationalExpr] | None = None
+    _residuals: list[RationalExpr] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
     _fills: tuple = field(init=False, repr=False)
     _plan: Callable | None = field(default=None, init=False, repr=False, compare=False)
 

@@ -26,6 +26,8 @@ Semantics:
   ``x`` are always known.
 * Division is only defined for nonzero rational divisors, so ``2/4``
   normalizes to ``1/2`` and ``x/2`` is ``1/2*x``; ``1/x`` is an error.
+* A digit is ASCII ``0``-``9``.  A character the grammar has no place for
+  is an error where the parser reaches it, so the first error wins.
 
 The parser is total on valid input and returns a canonical
 :class:`~burgers_hierarchy.symcore.Expr`.
@@ -33,18 +35,12 @@ The parser is total on valid input and returns a canonical
 
 from __future__ import annotations
 
+from itertools import chain
+import re
 from typing import Mapping
 
-from .symcore import (
-    Expr,
-    OpaqueDeriv,
-    OpaqueSymbol,
-    Var,
-    jet,
-    rational,
-    total_derivative,
-    _FUNC_DERIVATIVE,
-)
+from .symcore import (Expr, OpaqueDeriv, OpaqueSymbol, Var, jet, rational,
+                      total_derivative, _FUNC_DERIVATIVE, _func)
 
 
 class ParseError(ValueError):
@@ -59,122 +55,117 @@ class UnknownSymbolError(ParseError):
     """An identifier that is neither built in nor declared."""
 
 
+_TOKEN = re.compile(r"\s*(?:(?P<natural>[0-9]+)|(?P<name>[^\W\d_](?:[^\W\d_]|[0-9])*)"
+                    r"|(?P<suffix>(?:_[tx])+)|(?P<op>\*\*|[-+*/^(),\[\]])|(?P<error>\S))")
+
+
 class _Parser:
     def __init__(self, text: str, symbols: Mapping[str, OpaqueSymbol]):
-        self.text = text
-        self.pos = 0
+        self.tokens = chain(((m["op"] or m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                             for m in _TOKEN.finditer(text)), [("end", "", len(text))])
+        # the next token: its kind (an operator's kind is its text), text and start
+        self.kind, self.text, self.pos = next(self.tokens)
+        self.end = 0  # where the last consumed token ends
         self.symbols = symbols
 
-    # -- character helpers ---------------------------------------------------
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, lit: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(lit, self.pos)
-
-    def match(self, lit: str) -> bool:
-        if self.peek(lit):
-            self.pos += len(lit)
-            return True
-        return False
+    def take(self, kind: str) -> str | None:
+        """Consume the next token and return its text if it is of ``kind``."""
+        if self.kind != kind:
+            return None
+        text, self.end = self.text, self.pos + len(self.text)
+        self.kind, self.text, self.pos = next(self.tokens)
+        return text
 
     def expect(self, lit: str):
-        if not self.match(lit):
+        if not self.take(lit):
             raise ParseError(f"expected {lit!r}", self.pos)
-
-    # -- grammar -------------------------------------------------------------
 
     def parse(self) -> Expr:
         e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.kind != "end":
             raise ParseError("unexpected trailing input", self.pos)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            if self.match("+"):
-                e = e + self.term()
-            elif self.match("-"):
-                e = e - self.term()
-            else:
-                return e
+        while op := self.take("+") or self.take("-"):
+            e = e + self.term() if op == "+" else e - self.term()
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            # "**" never reaches term level: power() consumes it after a primary
-            if self.match("*"):
-                e = e * self.factor()
-            elif self.match("/"):
-                pos = self.pos
-                divisor = self.factor()
-                if not divisor.is_rational() or divisor.is_zero():
-                    raise ParseError("division only by nonzero rational constants", pos)
-                e = e / divisor.as_rational()
+        while op := self.take("*") or self.take("/"):
+            pos = self.end
+            rhs = self.factor()
+            if op == "*":
+                e = e * rhs
+            elif not rhs.is_rational() or rhs.is_zero():
+                raise ParseError("division only by nonzero rational constants", pos)
             else:
-                return e
+                e = e / rhs.as_rational()
+        if self.kind == "**":
+            # "**" after an exponent (x^2**3): "*", then a factor starting "*"
+            raise ParseError("unexpected character '*'", self.pos + 1)
+        return e
 
     def factor(self) -> Expr:
-        if self.match("-"):
-            return -self.factor()
-        if self.match("+"):
-            return self.factor()
+        if sign := self.take("-") or self.take("+"):
+            return -self.factor() if sign == "-" else self.factor()
         return self.power()
 
     def power(self) -> Expr:
         base = self.primary()
-        if self.match("^") or self.match("**"):
-            self.skip_ws()
-            n = self.natural()
-            return base ** n
+        if self.take("^") or self.take("**"):
+            return base ** self.natural()
         return base
 
     def natural(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+        if (digits := self.take("natural")) is None:
+            raise ParseError("expected a number", self.pos)
+        return int(digits)
 
     def primary(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of input", self.pos)
-        ch = self.text[self.pos]
-        if ch.isdigit():
+        if self.kind == "natural":
             return rational(self.natural())
-        if ch == "(":
-            self.pos += 1
+        if self.take("("):
             e = self.expr()
             self.expect(")")
             return e
-        if ch.isalpha():
+        if self.kind == "name":
             return self.name_or_call()
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+        if self.kind == "end":
+            raise ParseError("unexpected end of input", self.pos)
+        raise ParseError(f"unexpected character {self.text[0]!r}", self.pos)
 
     def name_or_call(self) -> Expr:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        name = self.text[start:self.pos]
-        if name == "u" and self.peek("["):
+        name = self.take("name")
+        if name == "u" and self.kind == "[":
             return self.jet_tail(start)
-        if self.peek("("):
-            return self.call(name, start)
-        if name == "t":
-            return Expr.from_atom(Var("t"))
-        if name == "x":
-            return Expr.from_atom(Var("x"))
-        if name in self.symbols:
-            return self.symbols[name].expr()
-        raise UnknownSymbolError(f"unknown symbol {name!r}", start)
+        if not self.take("("):
+            if name in ("t", "x"):
+                return Expr.from_atom(Var(name))
+            if name in self.symbols:
+                return self.symbols[name].expr()
+            raise UnknownSymbolError(f"unknown symbol {name!r}", start)
+        if name == "pd":
+            return self.partial_call()
+        args = [self.expr()]
+        while self.take(","):
+            args.append(self.expr())
+        self.expect(")")
+        if name == "D":
+            if len(args) != 2:
+                raise ParseError("D takes an expression and a variable", start)
+            for v in ("t", "x"):
+                if args[1] == Expr.from_atom(Var(v)):
+                    return total_derivative(args[0], v)
+            raise ParseError("the second argument of D must be t or x", start)
+        if name in _FUNC_DERIVATIVE:
+            if len(args) != 1:
+                raise ParseError(f"{name} takes one argument", start)
+            return _func(name, args[0])
+        raise UnknownSymbolError(f"unknown function {name!r}", start)
 
     def jet_tail(self, start: int) -> Expr:
         self.expect("[")
@@ -184,57 +175,21 @@ class _Parser:
         self.expect("]")
         if tier < 1 or alpha < 1:
             raise ParseError("jet indices are 1-based", start)
-        nt = nx = 0
-        while True:
-            if self.text.startswith("_t", self.pos):
-                self.pos += 2
-                nt += 1
-            elif self.text.startswith("_x", self.pos):
-                self.pos += 2
-                nx += 1
-            else:
-                break
-        return jet(tier, alpha, nt, nx)
+        # suffix markers count only directly after the "]"
+        suffixes = (self.pos == self.end and self.take("suffix")) or ""
+        return jet(tier, alpha, suffixes.count("t"), suffixes.count("x"))
 
-    def call(self, name: str, start: int) -> Expr:
-        self.expect("(")
-        if name == "pd":
-            return self.partial_call(start)
-        args = [self.expr()]
-        while self.match(","):
-            args.append(self.expr())
-        self.expect(")")
-        if name == "D":
-            if len(args) != 2:
-                raise ParseError("D takes an expression and a variable", start)
-            v = args[1]
-            if v == Expr.from_atom(Var("t")):
-                return total_derivative(args[0], "t")
-            if v == Expr.from_atom(Var("x")):
-                return total_derivative(args[0], "x")
-            raise ParseError("the second argument of D must be t or x", start)
-        if name in _FUNC_DERIVATIVE:
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one argument", start)
-            from .symcore import _func
-
-            return _func(name, args[0])
-        raise UnknownSymbolError(f"unknown function {name!r}", start)
-
-    def partial_call(self, start: int) -> Expr:
-        self.skip_ws()
+    def partial_call(self) -> Expr:
         nstart = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        name = self.text[nstart:self.pos]
+        name = self.take("name") or ""
         if name not in self.symbols:
             raise UnknownSymbolError(f"unknown symbol {name!r} in pd()", nstart)
         sym = self.symbols[name]
         orders = [0] * len(sym.args)
-        while self.match(","):
+        while self.take(","):
             slot = self.natural()
             if not 1 <= slot <= len(sym.args):
-                raise ParseError(f"{name} has no argument slot {slot}", self.pos)
+                raise ParseError(f"{name} has no argument slot {slot}", self.end)
             orders[slot - 1] += 1
         self.expect(")")
         return Expr.from_atom(OpaqueDeriv(sym, tuple(orders)))

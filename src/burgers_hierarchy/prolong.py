@@ -129,8 +129,7 @@ def prolong2(field: VectorField) -> ProlongedField:
 # the solution manifold
 
 
-@dataclass(frozen=True)
-class ManifoldRules:
+class ManifoldRules(SubstitutionMap):
     """Substitution rules cutting out the manifold: the invariant surface
     conditions eliminate u_a,t, and the system's solved form (already
     reduced by the surface conditions) eliminates u_a,xx.  No
@@ -138,11 +137,6 @@ class ManifoldRules:
     order zero, eta^t, eta^x and eta^xx hold no coordinate beyond u_a,t,
     u_a,x and u_a,xx.  After application only u_a and u_a,x of the
     system's family survive."""
-
-    rules: SubstitutionMap
-
-    def apply(self, e: Expr) -> Expr:
-        return self.rules.apply(e)
 
 
 def manifold_rules(field: VectorField) -> ManifoldRules:
@@ -157,7 +151,7 @@ def manifold_rules(field: VectorField) -> ManifoldRules:
         rules[JetCoord(k, a, nt=1)] = q_rhs
         # u_a,xx from the solved form, with u_a,t already eliminated
         rules[JetCoord(k, a, nx=2)] = q_rhs + u(a) * u(1, nx=1) + u(a + 1, nx=1)
-    return ManifoldRules(SubstitutionMap(rules))
+    return ManifoldRules(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,7 @@ class ClassicalReport:
         }
 
 
-def verify_classical(m: int, fields: list[VectorField] | None = None) -> ClassicalReport:
+def verify_classical(m: int) -> ClassicalReport:
     """Check that each classical generator annihilates the system after
     substituting the solved forms (plain invariance, no surface
     conditions)."""
@@ -303,7 +297,7 @@ def verify_classical(m: int, fields: list[VectorField] | None = None) -> Classic
     system = build_delta(m)
     solved = system.solved_rules()
     per_gen = {}
-    for f in fields if fields is not None else generators(m):
+    for f in generators(m):
         pf = prolong2(f)
         for a, res in enumerate(system.residuals, start=1):
             out = solved.apply(pf.apply_to(res))

@@ -108,6 +108,11 @@ class TestVerify:
         doc = json.loads((tmp_path / "verify_theorem_m1.json").read_text())
         assert "meta" not in doc
 
+    def test_out_dir_defaults_to_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BURGERS_HIERARCHY_OUTDIR", str(tmp_path))
+        assert main(["verify", "theorem", "--m", "1"]) == 0
+        assert json.loads((tmp_path / "verify_theorem_m1.json").read_text())["status"] == "ok"
+
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
@@ -299,6 +304,20 @@ class TestExact:
         path = catalog([{"kind": "constant", "value": "1/0"}])
         assert main(["exact", "--m", "1", "--catalog", path,
                      "--out-dir", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "exponential", "a": "1", "sign": 2}, "sign must be +1 or -1"),
+        ({"kind": "trig", "a": "1", "func": "tan"}, "func must be 'sin' or 'cos'"),
+        ({"kind": "heat_polynomial", "degree": -1}, "degree must be nonnegative"),
+        ({"kind": "gaussian", "t0": "0"}, "t0 must be positive"),
+        ({"kind": "constant", "value": 1.5}, "expected an exact rational, got 1.5"),
+    ], ids=["sign", "func", "degree", "t0", "float"])
+    def test_bad_record_is_config_error(self, tmp_path, catalog, capsys, record, message):
+        out = tmp_path / "out"
+        assert main(["exact", "--m", "1", "--catalog", catalog([record]),
+                     "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err == f"config error: bad catalog: {message}\n"
+        assert not out.exists()
 
     def test_missing_catalog_is_config_error(self, tmp_path):
         assert main(["exact", "--m", "2", "--catalog", "/nonexistent.json",

@@ -196,6 +196,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_ivp(1, GridField(np.zeros((1, 16)), 0.0), grid, [-0.005, 0.01])
 
+    def test_component_count_must_match_m(self):
+        grid = Grid1D(0.0, 1.0, 16, 1e-3, 0.01, boundary="periodic")
+        with pytest.raises(ValueError, match="initial data has 2 components, expected 3"):
+            solve_ivp(3, GridField(np.zeros((2, 16)), 0.0), grid)
+
     def test_snapshot_times_hit_exactly(self):
         sol = traveling_wave()
         grid = Grid1D(-5.0, 5.0, 32, 7e-3, 0.02)  # dt does not divide targets

@@ -1,6 +1,7 @@
 """Heat-data catalog, the linear system, exact solutions, certification,
 and the invariance properties of the construction."""
 
+import dataclasses
 from fractions import Fraction
 import hashlib
 import json
@@ -275,6 +276,13 @@ class TestCertification:
         sol._residuals = None
         with pytest.raises(CertificationError, match="equation 1"):
             certify(sol)
+
+    def test_replaced_copy_does_not_reuse_the_certified_residuals(self):
+        sol = solve_exact(2, [heat_polynomial(1), heat_polynomial(2)])
+        assert certify(sol).passed
+        edited = dataclasses.replace(sol, numerators=[2 * sol.numerators[0], sol.numerators[1]])
+        with pytest.raises(CertificationError, match="equation 1"):
+            certify(edited)
 
     def test_proved_nonzero_residual_raises_without_sampling(self, monkeypatch):
         sol = rational_pair_solution()

@@ -110,3 +110,25 @@ def test_readme_grammar_is_the_parser_grammar():
             for name in re.findall(r"\b[a-z]+\b", re.sub(r'"[^"]*"', "", r.split(" = ", 1)[1]))}
     assert used - set(defined) == {"letter", "digit"}
     assert set(defined) <= used
+
+
+@pytest.mark.parametrize("text, pos", [("2²", 1), ("x^²", 2), ("u[1,²]", 4), ("٣", 0)])
+def test_non_ascii_digits_are_not_numbers(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert err.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^2**3", "unexpected character '*' (at position 4)"),  # "*", then the factor "*3"
+    ("1/ x", "division only by nonzero rational constants (at position 2)"),
+    ("u[1,1] _t", "unexpected trailing input (at position 7)"),  # suffixes follow "]" directly
+    ("pd(xi, 4)", "xi has no argument slot 4 (at position 8)"),
+    ("(x $ é", "expected ')' (at position 3)"),
+    ("é $", "unknown symbol 'é' (at position 0)"),
+    ("x +", "unexpected end of input (at position 3)"),
+])
+def test_error_messages_and_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text, SYMS)
+    assert str(err.value) == message

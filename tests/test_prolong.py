@@ -167,7 +167,7 @@ class TestManifoldRules:
     def test_two_rules_per_component(self, m):
         field, _ = generic_ansatz(m)
         k = field.tier
-        assert set(manifold_rules(field).rules.rules) == {
+        assert set(manifold_rules(field).rules) == {
             JetCoord(k, a, nt, nx) for a in range(1, m + 1) for nt, nx in [(1, 0), (0, 2)]
         }
 
@@ -382,6 +382,22 @@ class TestTheorem:
         assert str(exc.value) == ("m=1, eq 1: coefficient of u[1,1]^2 is not a combination of "
                                   "the follow-up residuals; leftover 1/2*u[2,1]*u[2,1]_x")
 
+    def test_final_check_rejects_disagreeing_solved_forms(self, monkeypatch):
+        # solved forms u_b,t -> u_b,t - R_b + u_b,x pass the coefficient
+        # check, which reads the residuals, and fail only the final check
+        def skewed(system):
+            k = system.tier
+            return symcore.SubstitutionMap(
+                (JetCoord(k, b, nt=1), jet(k, b, nt=1) - res + jet(k, b, nx=1))
+                for b, res in enumerate(system.residuals, start=1))
+
+        monkeypatch.setattr(hierarchy.PdeSystem, "solved_rules", skewed)
+        with pytest.raises(VerificationError) as exc:
+            verify_theorem(1)
+        assert str(exc.value) == (
+            "m=1, eq 1: nonzero final residual 1/4*u[1,1]^2*u[2,1]_x + 1/4*u[1,1]*u[2,2]_x"
+            " - 1/2*u[1,1]_x*u[2,1]_x + 1/4*u[2,3]_x")
+
     @pytest.mark.parametrize("extra, message", [
         (lambda u, w: u(1), "not a combination of the follow-up residuals; leftover u[2,1]_x"),
         # a follow-up time derivative times a follow-up variable
@@ -420,10 +436,11 @@ class TestClassical:
         assert report.status == "ok"
         assert len(report.generators) == 5
 
-    def test_non_symmetry_rejected(self):
+    def test_non_symmetry_rejected(self, monkeypatch):
         fake = VectorField(1, ZERO, ZERO, (X,), name="fake")
+        monkeypatch.setattr(prolong, "generators", lambda m: [fake])
         with pytest.raises(VerificationError):
-            verify_classical(1, fields=[fake])
+            verify_classical(1)
 
 
 THIRD_ORDER_ATOMS = textwrap.dedent("""
