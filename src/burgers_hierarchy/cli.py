@@ -376,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refinement ladder and observed order")
     p.add_argument("--ladder", type=_comma_separated(int, "integers"),
                    default=(100, 200, 400))
-    p.add_argument("--dt-scale", type=float, default=0.25)
+    p.add_argument("--dt-scale", type=float, default=0.1,
+                   help="time step per rung: dt = DT_SCALE * dx")
     p.add_argument("--order-window", type=float, nargs=2, default=(1.8, 2.2))
     p.set_defaults(fn=cmd_convergence)
 

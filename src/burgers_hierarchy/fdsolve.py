@@ -2,19 +2,23 @@
 
 Semi-implicit scheme on a uniform 1-D grid: the stiff diffusion term is
 treated by the trapezoidal rule (Crank-Nicolson), while the advection and
-coupling terms u_a * u_1,x and u_{a+1},x use second-order central
-differences evaluated at the previous time level, fused into one explicit
-expression over the centre and neighbour views of the state (of one
-wrapped copy on periodic grids).  The implicit operator and the explicit
-scalars are built and factored once per (boundary, nx, dx, substep length
-h).  On Dirichlet grids the end values are known, so the operator is the
-constant symmetric positive definite tridiagonal matrix of the nx - 2
-interior unknowns: LAPACK ``pttrf`` factors it once, the boundary data
-moves into the first and last interior rows of the right-hand side, and
-each substep is one O(nx) ``pttrs`` solve of all m components.  The
-periodic operator, with its wraparound corners, is a sparse matrix
-factored once.  The advective CFL constraint dt <= C_ADV * dx / max|u_1| is
-enforced by adaptive substepping.
+coupling term F = u_a * u_1,x + u_{a+1},x uses second-order central
+differences and is explicit, fused into one expression over the centre and
+neighbour views of the state (of one wrapped copy on periodic grids).  On
+Dirichlet grids F enters by variable-step second-order Adams-Bashforth
+(CNAB2; Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32 (1995) 797), so
+runs are second order in time and refinement ladders take dt proportional
+to dx; a run's first substep is forward Euler.  Periodic grids keep
+forward-Euler advection, first order in time.  The implicit operator and
+the explicit scalars are built and factored once per (boundary, nx, dx,
+substep length h).  On Dirichlet grids the end values are known, so the
+operator is the constant symmetric positive definite tridiagonal matrix
+of the nx - 2 interior unknowns: LAPACK ``pttrf`` factors it once, the
+boundary data moves into the first and last interior rows of the
+right-hand side, and each substep is one O(nx) ``pttrs`` solve of all m
+components.  The periodic operator, with its wraparound corners, is a
+sparse matrix factored once.  The advective CFL constraint
+dt <= C_ADV * dx / max|u_1| is enforced by adaptive substepping.
 
 Boundary data either comes from an exact solution (Dirichlet, used for
 validation runs) or is periodic (free exploration).  Exact initial data,
@@ -25,7 +29,7 @@ solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import functools
 import math
 from typing import Callable, Sequence
@@ -85,10 +89,13 @@ class Grid1D:
 
 @dataclass
 class GridField:
-    """m-component state on the grid at one time level."""
+    """m-component state on the grid at one time level.  One that
+    :func:`step` returns on a Dirichlet grid also holds its last substep's
+    advection term for the next Adams-Bashforth substep."""
 
     values: np.ndarray  # shape (m, nx)
     time: float
+    _history: tuple[np.ndarray, float, float] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.values
@@ -105,19 +112,26 @@ class GridField:
             raise SolverBlowupError(f"non-finite state at t={self.time}")
 
 
-def _explicit(c, right, left, r: float, g: float) -> np.ndarray:
-    """Explicit part c + r (right - 2c + left) - g (c D_1 + D_{a+1}) of a
-    substep from the centre, right- and left-neighbour views of an (m, n)
-    state, with D = right - left, r = (1 - THETA) h / dx^2, g = h / (2 dx).
-    The result is a fresh C-ordered array."""
+def _explicit(c, right, left, r: float, g: float, adv=None, prev=None,
+              k: float = 0.0) -> np.ndarray:
+    """Explicit part c + r (right - 2c + left) - A + k prev of a substep
+    from the centre, right- and left-neighbour views of an (m, n) state,
+    where A = g (c D_1 + D_{a+1}) with D = right - left, and
+    r = (1 - THETA) h / dx^2.  With g = h / (2 dx), A = h F is the
+    forward-Euler advection increment; an Adams-Bashforth substep scales g
+    by the weight of its current term and passes its previous term as
+    ``prev`` and k.  A is written to ``adv`` when given.  The result is a
+    fresh C-ordered array."""
     delta = right - left
     delta *= g
-    adv = c * delta[0]
+    adv = np.multiply(c, delta[0], out=adv)
     adv[:-1] += delta[1:]
     out = right + left
     out *= r
-    out += (1 - 2 * r) * c
+    out += np.multiply(c, 1 - 2 * r, out=delta)  # delta is free again: scratch
     out -= adv
+    if prev is not None:
+        out += np.multiply(prev, k, out=delta)
     return out
 
 
@@ -170,24 +184,37 @@ def _implicit_solver(boundary: str, nx: int, dx: float, h: float):
 
 
 def _substep(values: np.ndarray, t: float, h: float, grid: Grid1D,
-             bc: BoundaryFn | None, solver) -> np.ndarray:
-    """One substep; Dirichlet end columns are the boundary data."""
+             bc: BoundaryFn | None, solver, history) -> tuple[np.ndarray, tuple | None]:
+    """One substep; Dirichlet end columns are the boundary data.  Returns
+    the new values and the history for the next substep, None on periodic
+    grids.  On Dirichlet grids the advection is h ((1 + omega/2) F^n -
+    (omega/2) F^{n-1}) with omega = h / h_prev: ``history`` is the previous
+    substep's (s h_prev F^{n-1}, h_prev, s), with s its own current-term
+    weight, or None for a forward-Euler substep (s = 1)."""
     solve, r, g = solver
     if grid.boundary == "periodic":
         w = np.concatenate((values[:, -1:], values, values[:, :1]), axis=1)
-        return solve(_explicit(w[:, 1:-1], w[:, 2:], w[:, :-2], r, g).T).T
+        return solve(_explicit(w[:, 1:-1], w[:, 2:], w[:, :-2], r, g).T).T, None
+    s, prev, k = 1.0, None, 0.0
+    if history is not None:
+        prev, h_prev, s_prev = history
+        omega = h / h_prev
+        s, k = 1 + omega / 2, omega * omega / 2 / s_prev
     ends = bc(t + h)
     new = np.empty_like(values)
-    interior = _explicit(values[:, 1:-1], values[:, 2:], values[:, :-2], r, g)
+    adv = np.empty((values.shape[0], grid.nx - 2))
+    interior = _explicit(values[:, 1:-1], values[:, 2:], values[:, :-2], r, s * g, adv, prev, k)
     new[:, 1:-1] = solve(interior, ends)
     new[:, ::grid.nx - 1] = ends
-    return new
+    return new, (adv, h, s)
 
 
 def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
          dt: float | None = None) -> GridField:
     """Advance by dt, or by grid.dt when dt is not given (with internal
-    CFL substepping); returns a new field and never mutates the input.  A
+    CFL substepping); returns a new field and never mutates the input.  On
+    Dirichlet grids the first substep continues the Adams-Bashforth
+    history of ``state``, and is forward Euler without one.  A
     non-finite input raises :class:`SolverBlowupError`: from the CFL
     estimate when it is in u_1, else from the check after the first
     substep, which it reaches."""
@@ -210,13 +237,13 @@ def step(state: GridField, grid: Grid1D, bc: BoundaryFn | None = None,
         )
     h = dt / nsub
     solver = _implicit_solver(grid.boundary, grid.nx, dx, h)
-    t = state.time
+    t, history = state.time, state._history
     for _ in range(nsub):
-        values = _substep(values, t, h, grid, bc, solver)
+        values, history = _substep(values, t, h, grid, bc, solver, history)
         t += h
         if not np.isfinite(values).all():
             raise SolverBlowupError(f"solver blow-up at t={t}")
-    return GridField(values, state.time + dt)
+    return GridField(values, state.time + dt, history)
 
 
 def solve_ivp(
@@ -317,12 +344,13 @@ def convergence_study(
     x_min: float,
     x_max: float,
     t_end: float,
-    dt_scale: float = 0.25,
+    dt_scale: float = 0.1,
     t_start: float = 0.0,
 ) -> ConvergenceReport:
-    """Refinement ladder (nx increasing) with dt scaled as dx^2 and
-    Dirichlet data from the exact solution; the observed spatial order
-    comes from successive error ratios."""
+    """Refinement ladder (nx increasing) with dt = dt_scale * dx and
+    Dirichlet data from the exact solution; the scheme is second order in
+    space and time there, so the observed order comes from successive
+    error ratios."""
     if len(nx_list) < 3:
         raise ValueError("a convergence ladder needs at least 3 levels")
     if any(a >= b for a, b in zip(nx_list, nx_list[1:])):
@@ -332,7 +360,7 @@ def convergence_study(
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start}")
     grids = [Grid1D(x_min, x_max, nx, 1.0, t_end) for nx in nx_list]  # dt follows from dx
-    grids = [replace(g, dt=dt_scale * g.dx ** 2) for g in grids]
+    grids = [replace(g, dt=dt_scale * g.dx) for g in grids]
     entries = []
     for grid in grids:
         initial = field_from_exact(exact, grid, t_start)

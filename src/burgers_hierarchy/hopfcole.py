@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import math
 import random
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -311,29 +312,32 @@ class RationalExpr(NamedTuple):
     den: Expr
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactSolution:
     """Closed-form m-tuple solving the coupled system, with the
-    determinant of the linear system attached as a domain guard."""
+    determinant of the linear system attached as a domain guard.  Frozen,
+    with tuple numerators, so its cached properties cannot go stale;
+    ``dataclasses.replace`` makes an edited copy."""
 
     m: int
-    numerators: list[Expr]
+    numerators: tuple[Expr, ...]
     det: Expr
     matrix: list[list[Expr]]
     closure: dict[Atom, Expr]
     numeric_atoms: NumericAtomMap
     labels: list[str]
-    _residuals: list[RationalExpr] | None = field(default=None, init=False, repr=False,
-                                                  compare=False)
-    _fills: tuple = field(init=False, repr=False)
-    _plan: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _fills(self) -> tuple:
         # _env's values beside t and x: the numeric atoms, then each function
         # atom of det and the numerators, once per point, not per occurrence
         atoms = set().union(*(e.atoms() for e in (self.det, *self.numerators)))
-        self._fills = tuple((a, fn, None) for a, fn in self.numeric_atoms.items()) + tuple(
+        return tuple((a, fn, None) for a, fn in self.numeric_atoms.items()) + tuple(
             (a, _FUNC_EVAL[a.fname], a.arg) for a in atoms if isinstance(a, FuncApp))
+
+    @cached_property
+    def _plan(self) -> Callable:
+        return _float_plan(self.det, self.numerators, self.numeric_atoms)
 
     def _env(self, t: float, x: float) -> dict:
         env: dict = {T_ATOM: t, X_ATOM: x}
@@ -346,8 +350,6 @@ class ExactSolution:
         :func:`eval_expr` on :meth:`_env`, from the float plan compiled on
         the first call.  A zero determinant raises ``ZeroDivisionError``
         naming the point."""
-        if self._plan is None:
-            self._plan = _float_plan(self.det, self.numerators, self.numeric_atoms)
         try:
             return self._plan(t, x)
         except ZeroDivisionError:
@@ -374,27 +376,29 @@ class ExactSolution:
             R_a = D ((N_a,t - N_a,xx) D - N_a (D_t - D_xx) + W_{a+1})
                   + N_a W_1 + 2 D_x W_a.
         """
-        if self._residuals is None:
-            def d(e: Expr, v: str) -> Expr:
-                # an auxiliary atom depends on t alone: its D_x is 0, and
-                # the closure is D_t's image of it
-                return total_derivative(e, v, self.closure if v == "t" else None)
-
-            det = self.det
-            det_x = d(det, "x")
-            det_heat = d(det, "t") - d(det_x, "x")
-            nums = self.numerators
-            nums_x = [d(n, "x") for n in nums]
-            ws = [n_x * det - n * det_x for n, n_x in zip(nums, nums_x)] + [ZERO]
-            den = det * det * det
-            out = []
-            for a in range(self.m):
-                n = nums[a]
-                inner = (d(n, "t") - d(nums_x[a], "x")) * det - n * det_heat + ws[a + 1]
-                r = det * inner + n * ws[0] + 2 * det_x * ws[a]
-                out.append(RationalExpr(r, den))
-            self._residuals = out
         return self._residuals
+
+    @cached_property
+    def _residuals(self) -> list[RationalExpr]:
+        def d(e: Expr, v: str) -> Expr:
+            # an auxiliary atom depends on t alone: its D_x is 0, and the
+            # closure is D_t's image of it
+            return total_derivative(e, v, self.closure if v == "t" else None)
+
+        det = self.det
+        det_x = d(det, "x")
+        det_heat = d(det, "t") - d(det_x, "x")
+        nums = self.numerators
+        nums_x = [d(n, "x") for n in nums]
+        ws = [n_x * det - n * det_x for n, n_x in zip(nums, nums_x)] + [ZERO]
+        den = det * det * det
+        out = []
+        for a in range(self.m):
+            n = nums[a]
+            inner = (d(n, "t") - d(nums_x[a], "x")) * det - n * det_heat + ws[a + 1]
+            r = det * inner + n * ws[0] + 2 * det_x * ws[a]
+            out.append(RationalExpr(r, den))
+        return out
 
     def residual_values(self, t: float, x: float) -> list[float]:
         env = self._env(t, x)
@@ -425,7 +429,7 @@ def solve_exact(m: int, vs: Sequence[HeatSolution]) -> ExactSolution:
             msg += f"; dependency witness: {combo} = 0"
         raise SingularSystemError(msg, witness) from None
     # unknown order is (u_m, ..., u_1): reverse into component order
-    numerators = list(reversed(unknown_nums))
+    numerators = tuple(reversed(unknown_nums))
     closure, numeric = _merged_closure(vs)
     return ExactSolution(
         m=m,

@@ -435,6 +435,22 @@ class TestSolveAndConvergence:
         doc = json.loads((tmp_path / "convergence_m1.json").read_text())
         assert all(1.8 <= p <= 2.2 for p in doc["orders_L2"])
 
+    def test_default_dt_scale_is_the_library_default(self, tmp_path, catalog):
+        # without --dt-scale each rung steps by convergence_study's default
+        # dt_scale times its dx, so the two defaults cannot drift apart
+        import inspect
+
+        from burgers_hierarchy.fdsolve import Grid1D, convergence_study
+
+        default = inspect.signature(convergence_study).parameters["dt_scale"].default
+        assert default == 0.1
+        assert main(["convergence", "--m", "1", "--catalog", catalog(CATALOG_M1),
+                     "--ladder", "32,64,128", "--x-min", "-8", "--x-max", "8",
+                     "--t-end", "0.05", "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "convergence_m1.json").read_text())
+        dxs = [Grid1D(-8.0, 8.0, nx, 1.0, 1.0).dx for nx in (32, 64, 128)]
+        assert [e["dt"] for e in doc["entries"]] == [default * dx for dx in dxs]
+
     @pytest.mark.parametrize("command", ["solve", "convergence"])
     def test_reversed_domain_is_config_error(self, tmp_path, catalog, command):
         out = tmp_path / "out"
@@ -477,7 +493,7 @@ class TestSolveAndConvergence:
                      "--x-min", "2", "--x-max", "4", "--t-end", "0.01", "--ladder", "20,40,80",
                      "--order-window", "3", "4", "--out-dir", str(tmp_path)]) == 3
         out, err = capsys.readouterr()
-        assert out == "convergence m=2: observed L2 orders [1.951, 1.992]\n"
+        assert out == "convergence m=2: observed L2 orders [1.955, 2.019]\n"
         assert err == "FAIL: observed order outside [3.0, 4.0]\n"
         assert (tmp_path / "convergence_m2.json").is_file()
 

@@ -42,10 +42,14 @@ def rational_pair():
     return solve_exact(2, [HeatSolution(X, label="x"), heat_polynomial(2)])
 
 
-def dense_substep(values, t, h, grid, bc=None):
+def dense_substep(values, t, h, grid, bc=None, history=None):
     """One trapezoidal (Crank-Nicolson) substep from dense difference
     matrices and np.linalg.solve, one component at a time (reference for
-    `step`)."""
+    `step`).  The advection F = u_a u_1,x + u_{a+1},x is forward Euler on
+    periodic grids and without history; on Dirichlet grids with the
+    previous substep's (F, h_prev) it is (1 + w/2) F - (w/2) F_prev with
+    w = h / h_prev.  Returns the new values and the history for the next
+    substep: (F, h) on Dirichlet grids, None on periodic ones."""
     m, nx = values.shape
     dx = grid.dx
     d1 = np.zeros((nx, nx))
@@ -64,15 +68,20 @@ def dense_substep(values, t, h, grid, bc=None):
         d2[i, i] -= 2 / dx ** 2
     lhs = np.eye(nx) - 0.5 * h * d2
     u1x = d1 @ values[0]
+    advection = np.array([values[a] * u1x + (d1 @ values[a + 1] if a + 1 < m else 0.0)
+                          for a in range(m)])
+    explicit = advection
+    if bc is not None and history is not None:
+        prev, h_prev = history
+        w = h / h_prev
+        explicit = (1 + w / 2) * advection - (w / 2) * prev
     new = np.empty_like(values)
     for a in range(m):
-        coupling = d1 @ values[a + 1] if a + 1 < m else 0.0
-        rhs = values[a] + h * ((1 - 0.5) * (d2 @ values[a])
-                               - values[a] * u1x - coupling)
+        rhs = values[a] + h * ((1 - 0.5) * (d2 @ values[a]) - explicit[a])
         if bc is not None:
             rhs[0], rhs[-1] = bc(t + h)[a]
         new[a] = np.linalg.solve(lhs, rhs)
-    return new
+    return new, (None if bc is None else (advection, h))
 
 
 def moving_boundary(m):
@@ -209,6 +218,33 @@ class TestValidation:
         assert [s.time for s in out] == pytest.approx([0.01, 0.02])
 
 
+class TestTimeOrder:
+    """Second order in time on its own: the m = 2 pair on one fixed fine
+    grid, dt halved along a ladder, each error taken against the same
+    grid's run at a 64 times smaller dt, so the spatial error cancels.
+    max|u_1| stays below 2.11 on [2, 4] until t_end, so every dt is below
+    the CFL limit C_ADV dx / max|u_1| > 2.37e-3 and takes one substep."""
+
+    @pytest.mark.parametrize("t_end", [0.1, 0.1 + 2e-3 / 3],
+                             ids=["multiple", "shortened-last-step"])
+    def test_dirichlet_order_two_in_dt(self, t_end):
+        # 0.1 + 2e-3/3 is 50 1/3, 100 2/3, 201 1/3 and 402 2/3 steps of the
+        # ladder's dt, so every rung ends on a shortened step whose
+        # h / h_prev is 1/3 or 2/3
+        sol = rational_pair()
+
+        def final(dt):
+            grid = Grid1D(2.0, 4.0, 201, dt, t_end)
+            initial = field_from_exact(sol, grid, 0.0)
+            return solve_ivp(2, initial, grid, [t_end], make_boundary(sol, grid))[-1]
+
+        dts = [2e-3, 1e-3, 5e-4, 2.5e-4]
+        reference = final(dts[0] / 64)
+        errors = [error_norms(final(dt), reference, 0.01)[0] for dt in dts]
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(1.8 <= p <= 2.2 for p in orders), orders
+
+
 class TestDenseOracle:
     """Three components, one CFL substep per step (max|u1| <= 0.5)."""
 
@@ -223,17 +259,17 @@ class TestDenseOracle:
     def test_one_step(self, boundary):
         grid, vals, bc = self.case(boundary)
         out = step(GridField(vals, 0.2), grid, bc)
-        assert_close_to_oracle(out.values, dense_substep(vals, 0.2, grid.dt, grid, bc))
+        assert_close_to_oracle(out.values, dense_substep(vals, 0.2, grid.dt, grid, bc)[0])
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_shortened_last_step(self, boundary):
         # 0.025 is not a multiple of dt: the last step uses h = 0.005
         grid, vals, bc = self.case(boundary)
         out = solve_ivp(3, GridField(vals, 0.0), grid, [0.025], bc)[0]
-        t, ref = 0.0, vals
+        t, ref, history = 0.0, vals, None
         while t < 0.025 - 1e-12:
             h = min(grid.dt, 0.025 - t)
-            ref = dense_substep(ref, t, h, grid, bc)
+            ref, history = dense_substep(ref, t, h, grid, bc, history)
             t += h
         assert out.time == pytest.approx(0.025)
         assert_close_to_oracle(out.values, ref)
@@ -242,9 +278,11 @@ class TestDenseOracle:
     def test_interleaved_grids_same_nx(self, boundary):
         grids = [self.case(boundary, x_max=x_max) for x_max in (1.0, 2.0)]
         states = [GridField(vals, 0.0) for _, vals, _ in grids]
+        histories = [None, None]
         for _ in range(3):
             for k, (grid, _, bc) in enumerate(grids):
-                ref = dense_substep(states[k].values, states[k].time, grid.dt, grid, bc)
+                ref, histories[k] = dense_substep(states[k].values, states[k].time, grid.dt,
+                                                  grid, bc, histories[k])
                 states[k] = step(states[k], grid, bc)
                 assert_close_to_oracle(states[k].values, ref)
 

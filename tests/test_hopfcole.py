@@ -272,8 +272,7 @@ class TestCertification:
         sol = traveling_wave_solution()
         # sabotage one numerator; the residual holds exp atoms and does
         # not reduce to 0
-        sol.numerators[0] = sol.numerators[0] + ONE
-        sol._residuals = None
+        sol = dataclasses.replace(sol, numerators=(sol.numerators[0] + ONE,))
         with pytest.raises(CertificationError, match="equation 1"):
             certify(sol)
 
@@ -284,12 +283,29 @@ class TestCertification:
         with pytest.raises(CertificationError, match="equation 1"):
             certify(edited)
 
+    def test_certified_solution_cannot_be_edited_in_place(self):
+        # the cached residuals and float plan belong to the solution they
+        # were built from: an in-place edit raises, and an edited copy
+        # evaluates and certifies afresh
+        sol = solve_exact(2, [heat_polynomial(1), heat_polynomial(2)])
+        assert certify(sol).passed
+        assert sol.evaluate(0.5, 2.0) == pytest.approx([-8 / 3, -8 / 3])
+        with pytest.raises(TypeError):
+            sol.numerators[0] = 2 * sol.numerators[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.numerators = (2 * sol.numerators[0], sol.numerators[1])
+        edited = dataclasses.replace(sol, numerators=(2 * sol.numerators[0], sol.numerators[1]))
+        assert edited.evaluate(0.5, 2.0)[0] == pytest.approx(-16 / 3)
+        with pytest.raises(CertificationError, match="equation 1"):
+            certify(edited)
+        assert sol.evaluate(0.5, 2.0) == pytest.approx([-8 / 3, -8 / 3])
+
     def test_proved_nonzero_residual_raises_without_sampling(self, monkeypatch):
         sol = rational_pair_solution()
         # a 1e-20 perturbation is far below any sampling tolerance, but the
         # residuals are polynomials in t, x, so they prove it wrong
-        sol.numerators[0] = sol.numerators[0] + Fraction(1, 10 ** 20) * X
-        sol._residuals = None
+        sol = dataclasses.replace(sol, numerators=(sol.numerators[0] + Fraction(1, 10 ** 20) * X,
+                                                   *sol.numerators[1:]))
         assert not sol.residuals()[0].num.is_zero()
 
         def no_sampling(*args, **kwargs):
@@ -305,7 +321,7 @@ class TestCertification:
         # the residuals vanish only through an identity the kernel does
         # not apply, so they are nonzero with sin/cos atoms
         pythagoras = sin(X) ** 2 + cos(X) ** 2
-        sol.numerators = [n * pythagoras for n in sol.numerators]
+        sol = dataclasses.replace(sol, numerators=tuple(n * pythagoras for n in sol.numerators))
         assert not any(r.num.is_zero() for r in sol.residuals())
         # still a solution, in a box away from the singular set 2t = x^2
         worst = max(abs(v) for (t, x) in sample_points(sol, 20, (0.1, 1.0, 2.0, 4.0))
