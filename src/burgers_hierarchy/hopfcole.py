@@ -175,7 +175,8 @@ def _merged_closure(sols: Iterable[HeatSolution]):
 
 
 def _as_rat(v) -> Fraction:
-    if isinstance(v, (Fraction, int, str)):
+    # bool is an int, but JSON true is no rational
+    if isinstance(v, (Fraction, int, str)) and not isinstance(v, bool):
         return Fraction(v)
     raise TypeError(f"expected an exact rational, got {v!r}")
 

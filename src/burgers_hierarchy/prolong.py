@@ -315,55 +315,26 @@ def verify_classical(m: int) -> ClassicalReport:
 # constraints on the advective ansatz coefficient
 
 
-def kappa_symbol() -> OpaqueSymbol:
-    return OpaqueSymbol("kappa", ())
+KAPPA = OpaqueSymbol("kappa", ())
+KAPPA_ATOM = OpaqueDeriv(KAPPA, ())
 
 
-def kappa_poly_coefficients(e: Expr) -> list[Fraction]:
-    """Coefficients [c0, c1, ...] of a polynomial in the kappa symbol."""
-    parts = powers_of(e, OpaqueDeriv(kappa_symbol(), ()))
-    if not all(c.is_rational() for c in parts.values()):
-        raise ExtractionError(f"not a pure kappa polynomial: {e}")
-    if not parts:
-        return [Fraction(0)]
-    return [parts.get(i, ZERO).as_rational() for i in range(max(parts) + 1)]
+def _leading(p: Expr) -> tuple[int, Fraction]:
+    """Degree and leading coefficient of a nonzero polynomial in kappa alone."""
+    k, c = max(powers_of(p, KAPPA_ATOM).items())
+    return k, c.as_rational()
 
 
-def poly_rem(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Remainder of p modulo a nonzero q, both coefficient lists
-    [c0, c1, ...]; the result has no trailing zeros, so it is empty
-    exactly when q divides p."""
-    p, q = _trim(p), _trim(q)
-    while len(p) >= len(q):
-        f = p[-1] / q[-1]
-        shift = len(p) - len(q)
-        for i, c in enumerate(q):
-            p[shift + i] -= f * c
-        p = _trim(p)
+def _kappa_rem(p: Expr, q: Expr) -> Expr:
+    """Remainder of p modulo a nonzero q, both polynomials in kappa alone;
+    zero exactly when q divides p."""
+    n, lead = _leading(q)
+    while not p.is_zero():
+        k, c = _leading(p)
+        if k < n:
+            break
+        p = p - KAPPA.expr() ** (k - n) * q * (c / lead)
     return p
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd by Euclid; gcd(0, b) is b made monic."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_rem(a, b)
-    return [c / a[-1] for c in a] if a else a
-
-
-def _poly_from_coeffs(coeffs: list[Fraction]) -> Expr:
-    kap = kappa_symbol().expr()
-    out = ZERO
-    for i, c in enumerate(coeffs):
-        out = out + Expr.from_rational(c) * kap ** i
-    return out
 
 
 def verify_kappa_constraint(m: int) -> Expr:
@@ -386,47 +357,47 @@ def verify_kappa_constraint(m: int) -> Expr:
         constraints = _kappa_obstructions_single()
     if not constraints:
         raise ExtractionError(f"m={m}: no kappa constraint found")
-    g: list[Fraction] = []
-    for c in constraints:
-        g = _poly_gcd(g, c)
-    poly = _poly_from_coeffs(g)
-    if poly_rem(g, kappa_factor(m)[0]):
+    g = ZERO
+    for c in constraints:  # Euclid's algorithm
+        while not c.is_zero():
+            g, c = c, _kappa_rem(g, c)
+    g = g / _leading(g)[1]
+    if not _kappa_rem(g, kappa_factor(m)[0]).is_zero():
         raise VerificationError(
-            f"m={m}: constraint {poly} is not divisible by the expected factor")
-    return poly
+            f"m={m}: constraint {g} is not divisible by the expected factor")
+    return g
 
 
-def kappa_factor(m: int) -> tuple[list[Fraction], str]:
-    """The paper's factor of the kappa constraint: coefficients [c0, c1, ...] and text."""
+def kappa_factor(m: int) -> tuple[Expr, str]:
+    """The paper's factor of the kappa constraint, and its text."""
+    kap = KAPPA.expr()
     if m == 1:
-        return [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)], "kappa*(kappa-1)*(2*kappa+1)"
-    return [Fraction(0), Fraction(1), Fraction(2)], "kappa*(2*kappa+1)"
+        return kap * (kap - 1) * (2 * kap + 1), "kappa*(kappa-1)*(2*kappa+1)"
+    return kap * (2 * kap + 1), "kappa*(2*kappa+1)"
 
 
 def _kappa_ansatz(m: int):
-    """xi = kappa*u_1 + f(t,x)/2 with opaque eta_a; returns
-    (field, kappa_atom, u_atoms)."""
+    """xi = kappa*u_1 + f(t,x)/2 with opaque eta_a; returns (field, u_atoms)."""
     k = tier_of(m)
-    kappa = kappa_symbol()
     f = OpaqueSymbol("f", (T_ATOM, X_ATOM))
-    xi = kappa.expr() * jet(k, 1) + f.expr() / 2
+    xi = KAPPA.expr() * jet(k, 1) + f.expr() / 2
     args = (T_ATOM, X_ATOM) + tuple(JetCoord(k, a) for a in range(1, m + 1))
     etas = tuple(OpaqueSymbol(f"eta{a}", args).expr() for a in range(1, m + 1))
     field = VectorField(m, ONE, xi, etas, name="kappa-ansatz")
-    return field, OpaqueDeriv(kappa, ()), [JetCoord(k, a) for a in range(1, m + 1)]
+    return field, [JetCoord(k, a) for a in range(1, m + 1)]
 
 
-def _solve_linear_atom(e: Expr, atom: OpaqueDeriv) -> Expr:
-    """Solve e == 0 for an atom occurring linearly with rational weight."""
+def _solve_linear_atom(e: Expr, d: Expr) -> Expr:
+    """Solve e == 0 for the one atom of d, occurring linearly with rational weight."""
+    atom, = d.atoms()
     slope = partial_derivative(e, atom)
     if slope.is_zero() or not slope.is_rational():
-        raise ExtractionError(f"cannot solve for {atom.render()} in {e}")
-    rest = e - slope * Expr.from_atom(atom)
-    return -rest / slope.as_rational()
+        raise ExtractionError(f"cannot solve for {d} in {e}")
+    return -(e - slope * d) / slope.as_rational()
 
 
-def _kappa_obstructions_multi(m: int) -> list[list[Fraction]]:
-    field, kappa_atom, u_atoms = _kappa_ansatz(m)
+def _kappa_obstructions_multi(m: int) -> list[Expr]:
+    field, u_atoms = _kappa_ansatz(m)
     polys = determining_polynomials(field)
     k = field.tier
     ux = [JetCoord(k, a, nx=1) for a in range(1, m + 1)]
@@ -441,46 +412,36 @@ def _kappa_obstructions_multi(m: int) -> list[list[Fraction]]:
             for c in range(b, m + 1):
                 mono = Expr.from_atom(ux[b - 1]) * Expr.from_atom(ux[c - 1])
                 coeff = coeffs.get(mono, ZERO)
-                atom = OpaqueDeriv(eta_sym, _orders_for(m, b, c))
+                hessian = eta_sym.d(u_atoms[b - 1], u_atoms[c - 1])
                 # the quadratic coefficient always carries -1 or -2 times the
                 # Hessian entry, so a vanishing coefficient means a broken ansatz
-                table[(b, c)] = _solve_linear_atom(coeff, atom)
+                table[(b, c)] = _solve_linear_atom(coeff, hessian)
         second.append(table)
 
     # the third partial eta_a,{u_b u_c u_d}, b <= c <= d, is d/du_x of the
     # entry (lo, hi) in every distinct index order (x, lo, hi); all must agree
-    obstructions: list[list[Fraction]] = []
+    obstructions: list[Expr] = []
     for table in second:
         for b, c, d in combinations_with_replacement(range(1, m + 1), 3):
             first, *rest = [partial_derivative(table[(lo, hi)], u_atoms[x - 1])
                             for x, lo, hi in dict.fromkeys([(d, b, c), (c, b, d), (b, c, d)])]
             for other in rest:
                 diff = first - other
-                # one polynomial in kappa per monomial in the other atoms
-                others = diff.atoms() - {kappa_atom}
-                for part in collect_coefficients(diff, others).values():
-                    coeffs = kappa_poly_coefficients(part)
-                    if any(coeffs):
-                        obstructions.append(coeffs)
+                # one nonzero polynomial in kappa per monomial in the other atoms
+                others = diff.atoms() - {KAPPA_ATOM}
+                obstructions.extend(collect_coefficients(diff, others).values())
     return obstructions
 
 
-def _orders_for(m: int, b: int, c: int) -> tuple[int, ...]:
-    orders = [0] * (m + 2)
-    orders[1 + b] += 1
-    orders[1 + c] += 1
-    return tuple(orders)
-
-
-def _kappa_obstructions_single() -> list[list[Fraction]]:
-    field, kappa_atom, (u_atom,) = _kappa_ansatz(1)
+def _kappa_obstructions_single() -> list[Expr]:
+    field, (u_atom,) = _kappa_ansatz(1)
     poly = determining_polynomials(field)[0]
     k = field.tier
     ux = JetCoord(k, 1, nx=1)
     coeffs = collect_coefficients(poly, [ux])
     eta_sym = OpaqueSymbol("eta1", (T_ATOM, X_ATOM, u_atom))
     quad = coeffs.get(Expr.from_atom(ux) ** 2, ZERO)
-    eta_uu = _solve_linear_atom(quad, OpaqueDeriv(eta_sym, (0, 0, 2)))
+    eta_uu = _solve_linear_atom(quad, eta_sym.d(u_atom, u_atom))
 
     # integrate eta_uu twice in u_1 (polynomial quadrature), with fresh
     # integration "constants" depending on (t, x)
@@ -491,14 +452,8 @@ def _kappa_obstructions_single() -> list[list[Fraction]]:
     solved_field = VectorField(1, ONE, field.xi, (eta,), name="kappa-solved")
     poly2 = determining_polynomials(solved_field)[0]
 
-    obstructions = []
-    for mono, coeff in collect_coefficients(poly2, [u_atom, ux]).items():
-        try:
-            coeffs = kappa_poly_coefficients(coeff)
-        except ExtractionError:
-            continue
-        if any(coeffs):
-            obstructions.append(coeffs)
+    obstructions = [c for c in collect_coefficients(poly2, [u_atom, ux]).values()
+                    if c.atoms() <= {KAPPA_ATOM}]
     if not obstructions:
         raise ExtractionError("m=1: no pure kappa coefficient in the reduced polynomial")
     return obstructions

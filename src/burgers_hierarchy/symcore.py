@@ -753,21 +753,18 @@ class SubstitutionMap:
                 raise ValueError(f"rule for {atom.render()} maps to an expression containing "
                                  f"the left-hand atom {used.render()}")
 
-    def apply(self, e: Expr) -> Expr:
-        """Rewrite every left-hand atom of ``e``, in one pass."""
-        return self._apply_once(e)
-
     def _replacement(self, i: int) -> Expr | None:
         """What atom ``i`` becomes, or None when it stays."""
         a = _ATOMS[i]
         rhs = self.rules.get(a)
         if rhs is None and isinstance(a, FuncApp):
-            arg = self._apply_once(a.arg)
+            arg = self.apply(a.arg)
             if arg != a.arg:
                 rhs = Expr.from_atom(FuncApp(a.fname, arg))
         return rhs
 
-    def _apply_once(self, e: Expr) -> Expr:
+    def apply(self, e: Expr) -> Expr:
+        """Rewrite every left-hand atom of ``e``, in one pass."""
         # each monomial becomes its kept atoms times the replaced atoms'
         # powers, added into one dict of numerators over e's denominator
         # times den

@@ -41,7 +41,6 @@ from burgers_hierarchy.parser import parse_expr
 from burgers_hierarchy.prolong import (
     determining_polynomials,
     generic_ansatz,
-    kappa_poly_coefficients,
     verify_classical,
     verify_kappa_constraint,
     verify_theorem,
@@ -50,6 +49,7 @@ from burgers_hierarchy.symcore import cosh, exp, jet, T, X
 
 from test_hierarchy import GOLDEN_FIELDS
 from test_prolong import expected_cubic_pair, expected_cubic_single, poly_divides
+from tests_support import kappa_coefficients
 
 
 def check(num: int, ok: bool, text: str):
@@ -142,10 +142,10 @@ def test_criterion_1_theorem_reproduction(tmp_path):
 def test_criterion_2_kappa_constraints():
     target_m1 = [Fraction(0), Fraction(-1), Fraction(-1), Fraction(2)]
     target_gen = [Fraction(0), Fraction(1), Fraction(2)]
-    c1 = kappa_poly_coefficients(verify_kappa_constraint(1))
+    c1 = kappa_coefficients(verify_kappa_constraint(1))
     ok = poly_divides(target_m1, c1)
     for m in (2, 3):
-        cm = kappa_poly_coefficients(verify_kappa_constraint(m))
+        cm = kappa_coefficients(verify_kappa_constraint(m))
         ok = ok and poly_divides(target_gen, cm)
     check(2, ok, "constraint divisible by k(k-1)(2k+1) for m=1 and k(2k+1) for m=2,3")
 

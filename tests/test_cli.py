@@ -179,7 +179,7 @@ class TestVerify:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("kind, owner, attr, patch, message", [
-        ("kappa", prolong, "_kappa_obstructions_multi", lambda m: [[Fraction(0), Fraction(1)]],
+        ("kappa", prolong, "_kappa_obstructions_multi", lambda m: [prolong.KAPPA.expr()],
          "m=2: constraint kappa is not divisible by the expected factor"),
         ("liealg", liealg.StructureConstants, "jacobi_residual", lambda self: Fraction(1),
          "m=2: bracket table is not a Lie algebra"),
@@ -311,7 +311,15 @@ class TestExact:
         ({"kind": "heat_polynomial", "degree": -1}, "degree must be nonnegative"),
         ({"kind": "gaussian", "t0": "0"}, "t0 must be positive"),
         ({"kind": "constant", "value": 1.5}, "expected an exact rational, got 1.5"),
-    ], ids=["sign", "func", "degree", "t0", "float"])
+        ({"kind": "constant", "value": True}, "expected an exact rational, got True"),
+        ({"kind": "exponential", "a": True}, "expected an exact rational, got True"),
+        ({"kind": "trig", "a": True}, "expected an exact rational, got True"),
+        ({"kind": "gaussian", "t0": True}, "expected an exact rational, got True"),
+        ({"kind": "sum", "terms": [{"coeff": True, "term": {"kind": "heat_polynomial",
+                                                            "degree": 1}}]},
+         "expected an exact rational, got True"),
+    ], ids=["sign", "func", "degree", "t0", "float", "value-true", "exponential-a-true",
+            "trig-a-true", "t0-true", "coeff-true"])
     def test_bad_record_is_config_error(self, tmp_path, catalog, capsys, record, message):
         out = tmp_path / "out"
         assert main(["exact", "--m", "1", "--catalog", catalog([record]),

@@ -1,9 +1,6 @@
 """The demo scripts run end to end against the package root exports,
 every root export is used by a demo or the README, and every package
 import in the demos and the README's examples resolves.
-
-Demo 05 is left out of the runs: it repeats the solver-validation ladder
-of acceptance criterion 7 and takes several seconds.
 """
 
 import ast
@@ -23,6 +20,7 @@ DEMOS = ROOT / "demos"
     ("02_symmetry_verification.py", "m=6: ok"),
     ("03_lie_algebra_tables.py", "m=1 vs m=8: identical tables: True"),
     ("04_exact_solutions.py", "four components from heat polynomials: symbolic"),
+    ("05_solver_validation.py", "observed order 2.000"),
 ])
 def test_demo_runs(script, expected, capsys):
     runpy.run_path(str(DEMOS / script), run_name="__main__")

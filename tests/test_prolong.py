@@ -23,7 +23,6 @@ from burgers_hierarchy.prolong import (
     determining_polynomials,
     generic_ansatz,
     invariance_residuals,
-    kappa_poly_coefficients,
     manifold_rules,
     prolong2,
     verify_classical,
@@ -43,8 +42,8 @@ from burgers_hierarchy.symcore import (
     jet,
     sin,
 )
-from tests_support import (prolong2_characteristic, reference_apply, reference_prolonged_apply,
-                           reordered, sabotage_symmetry_field)
+from tests_support import (kappa_coefficients, prolong2_characteristic, reference_apply,
+                           reference_prolonged_apply, reordered, sabotage_symmetry_field)
 
 U = jet(1, 1)
 UX = jet(1, 1, nx=1)
@@ -487,40 +486,49 @@ def poly_divides(divisor, poly):
 
 class TestKappa:
     def test_single_component_constraint(self):
-        coeffs = kappa_poly_coefficients(verify_kappa_constraint(1))
+        coeffs = kappa_coefficients(verify_kappa_constraint(1))
         assert poly_divides(KAPPA_M1, coeffs)
         assert len(coeffs) - 1 == 3  # exactly cubic
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_coupled_constraint(self, m):
-        coeffs = kappa_poly_coefficients(verify_kappa_constraint(m))
+        coeffs = kappa_coefficients(verify_kappa_constraint(m))
         assert poly_divides(KAPPA_GEN, coeffs)
         assert coeffs[0] == 0  # kappa divides it
 
-    def test_zero_constraint_has_the_zero_coefficient_list(self):
-        assert kappa_poly_coefficients(ZERO) == [Fraction(0)]
-
     def test_m1_not_divisible_by_coupled_extra_root(self):
         # the single-component constraint has the extra root kappa = 1
-        coeffs = kappa_poly_coefficients(verify_kappa_constraint(1))
+        coeffs = kappa_coefficients(verify_kappa_constraint(1))
         # evaluate at kappa = 1: must vanish
         assert sum(coeffs) == 0
-        coeffs2 = kappa_poly_coefficients(verify_kappa_constraint(2))
+        coeffs2 = kappa_coefficients(verify_kappa_constraint(2))
         assert sum(coeffs2) != 0
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_factor_matches_the_paper(self, m):
-        coeffs, label = prolong.kappa_factor(m)
-        assert coeffs == (KAPPA_M1 if m == 1 else KAPPA_GEN)
+        factor, label = prolong.kappa_factor(m)
+        assert kappa_coefficients(factor) == (KAPPA_M1 if m == 1 else KAPPA_GEN)
         assert label == ("kappa*(kappa-1)*(2*kappa+1)" if m == 1 else "kappa*(2*kappa+1)")
 
-    def test_constraint_without_the_factor_raises(self, monkeypatch):
+    @pytest.mark.parametrize("obstructions, constraint", [
         # kappa alone is not divisible by kappa*(2*kappa+1)
+        (lambda k: [k], "kappa"),
+        (lambda k: [k * (2 * k + 1) * (k - 3), (2 * k + 1) * (k + 5)], "kappa + 1/2"),
+    ], ids=["kappa", "gcd"])
+    def test_constraint_without_the_factor_raises(self, monkeypatch, obstructions, constraint):
         monkeypatch.setattr(prolong, "_kappa_obstructions_multi",
-                            lambda m: [[Fraction(0), Fraction(1)]])
+                            lambda m: obstructions(prolong.KAPPA.expr()))
         with pytest.raises(VerificationError) as exc:
             verify_kappa_constraint(2)
-        assert str(exc.value) == "m=2: constraint kappa is not divisible by the expected factor"
+        assert str(exc.value) == f"m=2: constraint {constraint} is not divisible by the expected factor"
+
+    def test_constraint_is_the_gcd_of_non_proportional_obstructions(self, monkeypatch):
+        # real obstructions are rational multiples of one polynomial, so
+        # Euclid's algorithm there stops after one step
+        k = prolong.KAPPA.expr()
+        monkeypatch.setattr(prolong, "_kappa_obstructions_multi",
+                            lambda m: [k * (2 * k + 1) * (k - 3), 4 * k * (2 * k + 1) * (k + 5)])
+        assert verify_kappa_constraint(2).render() == "kappa^2 + 1/2*kappa"
 
 
 class TestBenchmarkTracerNames:

@@ -22,6 +22,7 @@ from burgers_hierarchy.symcore import (
     exp,
     jet,
     partial_derivative,
+    powers_of,
     rational,
     sinh,
     total_derivative,
@@ -173,6 +174,12 @@ def reference_rref(rows, ncols):
 def densify(rows, width):
     """Sparse {column: entry} rows as dense lists of Fraction."""
     return [[row.get(c, Fraction(0)) for c in range(width)] for row in rows]
+
+
+def kappa_coefficients(e):
+    """Coefficients [c0, c1, ...] of a nonzero polynomial in kappa alone."""
+    parts = powers_of(e, prolong.KAPPA_ATOM)
+    return [parts.get(i, ZERO).as_rational() for i in range(max(parts) + 1)]
 
 
 def sabotage_symmetry_field(monkeypatch, extra):
