@@ -2,10 +2,10 @@
 
 Subcommands: ``gen``, ``verify``, ``exact``, ``solve``, ``convergence``,
 ``report``.  Data artifacts (JSON/CSV) are deterministic for a given
-configuration; wall-clock timings live only under the ``meta`` key of
-JSON reports (or are omitted entirely with ``--no-meta``), so golden
-comparisons strip ``meta``.  Only ``solve`` and ``convergence`` load the
-finite-difference solver (and with it numpy and scipy).
+configuration, except the ``meta`` key of ``verify`` artifacts, which
+holds the wall-clock time of the verdict (``--no-meta`` omits it).  Only
+``solve`` and ``convergence`` load the finite-difference solver (and with
+it numpy and scipy).
 
 Exit codes: 0 success, 2 verification failure, 3 numerical failure,
 4 configuration error.
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import hopfcole, liealg, prolong
@@ -50,22 +51,15 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_write(path: Path, data: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data)
+        os.replace(tmp, path)
+    finally:  # a failed write or rename leaves no partial file behind
+        tmp.unlink(missing_ok=True)
 
 
-def write_json(path: Path, obj, no_meta: bool = False):
-    if no_meta:
-        obj = _strip_meta(obj)
+def write_json(path: Path, obj):
     _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _strip_meta(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_meta(v) for k, v in obj.items() if k != "meta"}
-    if isinstance(obj, list):
-        return [_strip_meta(v) for v in obj]
-    return obj
 
 
 def write_csv(path: Path, header: list[str], rows):
@@ -118,8 +112,6 @@ def _load_catalog(path: str, m: int) -> hopfcole.ExactSolution:
     """The exact solution of the m-entry heat-data catalog at ``path``."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"catalog file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"catalog is not valid JSON: {exc}") from exc
     try:
@@ -163,13 +155,13 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# each verify kind maps m to its artifact and raises when its verdict fails
+# each verify kind maps m to its artifact and raises when its verdict fails;
+# the calls stay late-bound, so a module attribute patched after import runs
 _VERIFY_KINDS = {
-    "theorem": lambda m: prolong.verify_theorem(m).to_json_dict(),
-    "classical": lambda m: prolong.verify_classical(m).to_json_dict(),
-    "liealg": lambda m: {**liealg.structure_constants(m).to_json_dict(), "status": "ok"},
-    "kappa": lambda m: {"m": m, "status": "ok",
-                        "constraint": prolong.verify_kappa_constraint(m).render(),
+    "theorem": lambda m: prolong.verify_theorem(m),
+    "classical": lambda m: prolong.verify_classical(m),
+    "liealg": lambda m: liealg.structure_constants(m).to_json_dict(),
+    "kappa": lambda m: {"m": m, "constraint": prolong.verify_kappa_constraint(m).render(),
                         "divisible_by": prolong.kappa_factor(m)[1]},
 }
 
@@ -180,11 +172,17 @@ def cmd_verify(args) -> int:
     failures = []
     results: dict[int, dict] = {}
     for m in ms:
+        t0 = time.perf_counter()
         try:
-            results[m] = _VERIFY_KINDS[args.kind](m)
+            doc = _VERIFY_KINDS[args.kind](m)
         except (prolong.VerificationError, liealg.NonClosureError,
                 prolong.ExtractionError) as exc:
             failures.append(str(exc))
+            continue
+        doc["status"] = "ok"  # a failed verdict raises; liealg's cross-check is below
+        if not args.no_meta:
+            doc["meta"] = {"wall_time_ms": round((time.perf_counter() - t0) * 1000.0, 3)}
+        results[m] = doc
 
     if args.kind == "liealg" and len(results) > 1:
         first = min(results)
@@ -192,11 +190,12 @@ def cmd_verify(args) -> int:
         for m, doc in results.items():
             doc["identical_to_first"] = doc["brackets"] == ref
             if not doc["identical_to_first"]:
+                doc["status"] = "failed"
                 failures.append(f"m={m}: structure constants differ from m={first}")
 
     for m, doc in sorted(results.items()):
-        write_json(outdir / f"verify_{args.kind}_m{m}.json", doc, args.no_meta)
-        print(f"verify {args.kind} m={m}: {doc.get('status', 'ok')}")
+        write_json(outdir / f"verify_{args.kind}_m{m}.json", doc)
+        print(f"verify {args.kind} m={m}: {doc['status']}")
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     return EXIT_VERIFICATION if failures else EXIT_OK
@@ -215,7 +214,7 @@ def cmd_exact(args) -> int:
     # sample before writing, so a bad box leaves no output behind
     points = hopfcole.sample_points(sol, args.points, tuple(args.box), args.seed)
     rows = [(t, x, *sol.evaluate(t, x)) for (t, x) in sorted(points)]
-    write_json(outdir / f"exact_m{args.m}.json", doc, args.no_meta)
+    write_json(outdir / f"exact_m{args.m}.json", doc)
     header = ["t", "x"] + [f"u{a}" for a in range(1, args.m + 1)]
     write_csv(outdir / f"exact_m{args.m}.csv", header, rows)
     return EXIT_OK
@@ -251,8 +250,7 @@ def cmd_solve(args) -> int:
         errors.append({"t": state.time, "L2": l2, "Linf": linf})
         print(f"solve m={args.m} t={state.time:g}: L2={l2:.3e} Linf={linf:.3e}")
     write_json(outdir / f"solve_m{args.m}_errors.json",
-               {"m": args.m, "nx": args.nx, "dt": args.dt, "errors": errors},
-               args.no_meta)
+               {"m": args.m, "nx": args.nx, "dt": args.dt, "errors": errors})
     if args.tol is not None and any(e["Linf"] > args.tol for e in errors):
         print(f"FAIL: Linf exceeded tolerance {args.tol}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -273,8 +271,7 @@ def cmd_convergence(args) -> int:
         dt_scale=args.dt_scale, t_start=args.t_start,
     )
     outdir = _outdir(args)
-    write_json(outdir / f"convergence_m{args.m}.json", report.to_json_dict(),
-               args.no_meta)
+    write_json(outdir / f"convergence_m{args.m}.json", report.to_json_dict())
     orders = ", ".join(f"{p:.3f}" for p in report.orders_l2)
     print(f"convergence m={args.m}: observed L2 orders [{orders}]")
     if report.orders_l2 and not all(lo <= p <= hi for p in report.orders_l2):
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     output, catalog, domain, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     output.add_argument("--out-dir", help=f"output directory (default ${OUTDIR_ENV} or .)")
     output.add_argument("--no-meta", action="store_true",
-                        help="omit meta (timing) fields from JSON artifacts")
+                        help="omit the meta (timing) object from verify artifacts")
     catalog.add_argument("--m", type=int, required=True)
     catalog.add_argument("--catalog", required=True, help="JSON list of heat-solution records")
     domain.add_argument("--x-min", type=float, required=True)
@@ -402,7 +399,9 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError and invalid parameters
+    # ConfigError, invalid parameters, and an unreadable catalog or an
+    # output path that cannot be written
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -357,14 +357,16 @@ class ExactSolution:
             raise ZeroDivisionError(f"the determinant vanishes at t={t}, x={x}") from None
 
     def guard_ok(self, t: float, x: float) -> bool:
-        """Reject points too close to the determinant's zero set,
-        measured against the product of matrix row norms."""
+        """Reject points on or too close to the determinant's zero set,
+        measured against the product of matrix row norms (zero when a
+        row vanishes, so the zero set itself needs its own test)."""
         env = self._env(t, x)
         scale = 1.0
         for row in self.matrix:
             norm = sum(eval_expr(e, env) ** 2 for e in row) ** 0.5
             scale *= norm
-        return abs(eval_expr(self.det, env)) >= SINGULARITY_REL_TOL * scale
+        det = abs(eval_expr(self.det, env))
+        return det != 0 and det >= SINGULARITY_REL_TOL * scale
 
     def residuals(self) -> list[RationalExpr]:
         """Residual r_a = u_a,t + u_a u_1,x - u_a,xx + u_{a+1},x of each

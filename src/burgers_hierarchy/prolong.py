@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-import time
 
 from .hierarchy import (PdeSystem, VectorField, build_delta, build_symmetry_field,
                         components, tier_of)
@@ -197,35 +196,18 @@ def determining_polynomials(ansatz: VectorField) -> list[Expr]:
 # theorem verification
 
 
-@dataclass
-class TheoremReport:
-    m: int
-    status: str
-    coefficient_map: dict
-    term_counts: dict
-    wall_time_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "status": self.status,
-            "coefficient_map": self.coefficient_map,
-            "term_counts": self.term_counts,
-            "meta": {"wall_time_ms": round(self.wall_time_ms, 3)},
-        }
-
-
-def verify_theorem(m: int) -> TheoremReport:
+def verify_theorem(m: int) -> dict:
     """Mechanically verify the conditional-symmetry claim for the
     m-component system.
 
     The restricted invariance residuals are collected over monomials in
     {u_a, u_a,x}; every coefficient must be a rational combination of the
     residuals of the (m+2)-component follow-up system, and substituting
-    that system's solved forms must annihilate everything.  Failure
-    raises :class:`VerificationError`.
+    that system's solved forms must annihilate everything.  Returns
+    ``{"m", "coefficient_map", "term_counts"}``: each equation's weights
+    on the follow-up residuals per monomial, and its restricted term
+    count.  Failure raises :class:`VerificationError`.
     """
-    t0 = time.perf_counter()
     k = tier_of(m)
     field = build_symmetry_field(m)
     restricted = determining_polynomials(field)
@@ -268,32 +250,14 @@ def verify_theorem(m: int) -> TheoremReport:
         final = solved.apply(res)
         if not final.is_zero():
             raise VerificationError(f"m={m}, eq {a}: nonzero final residual {final}")
-
-    dt_ms = (time.perf_counter() - t0) * 1000.0
-    return TheoremReport(m, "ok", coefficient_map, term_counts, dt_ms)
+    return {"m": m, "coefficient_map": coefficient_map, "term_counts": term_counts}
 
 
-@dataclass
-class ClassicalReport:
-    m: int
-    status: str
-    generators: dict
-    wall_time_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "status": self.status,
-            "generators": self.generators,
-            "meta": {"wall_time_ms": round(self.wall_time_ms, 3)},
-        }
-
-
-def verify_classical(m: int) -> ClassicalReport:
+def verify_classical(m: int) -> dict:
     """Check that each classical generator annihilates the system after
     substituting the solved forms (plain invariance, no surface
-    conditions)."""
-    t0 = time.perf_counter()
+    conditions).  Returns ``{"m", "generators"}``, each generator's name
+    mapped to ``"ok"``; failure raises :class:`VerificationError`."""
     system = build_delta(m)
     solved = system.solved_rules()
     per_gen = {}
@@ -307,8 +271,7 @@ def verify_classical(m: int) -> ClassicalReport:
                     f"non-invariant: {out}"
                 )
         per_gen[f.name or f"field{len(per_gen) + 1}"] = "ok"
-    dt_ms = (time.perf_counter() - t0) * 1000.0
-    return ClassicalReport(m, "ok", per_gen, dt_ms)
+    return {"m": m, "generators": per_gen}
 
 
 # ---------------------------------------------------------------------------

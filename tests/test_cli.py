@@ -93,19 +93,28 @@ class TestGen:
         assert main(["gen", "--m", "0"]) != 0
 
 
-class TestVerify:
-    def test_theorem_range(self, tmp_path, capsys):
-        assert main(["verify", "theorem", "--m", "1..2",
-                     "--out-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "verify_theorem_m1.json").exists()
-        doc = json.loads((tmp_path / "verify_theorem_m2.json").read_text())
-        assert doc["status"] == "ok"
-        assert "wall_time_ms" in doc["meta"]
+VERIFY_KINDS = ["theorem", "classical", "liealg", "kappa"]
 
-    def test_no_meta_strips_timing(self, tmp_path):
-        assert main(["verify", "theorem", "--m", "1", "--out-dir", str(tmp_path),
+
+class TestVerify:
+    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    def test_theorem_range(self, tmp_path, capsys, kind):
+        assert main(["verify", kind, "--m", "1..2",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"verify {kind} m=1: ok\nverify {kind} m=2: ok\n"
+        for m in (1, 2):
+            doc = json.loads((tmp_path / f"verify_{kind}_m{m}.json").read_text())
+            assert doc["m"] == m
+            assert doc["status"] == "ok"
+            assert set(doc["meta"]) == {"wall_time_ms"}
+            assert doc["meta"]["wall_time_ms"] >= 0
+
+    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    def test_no_meta_strips_timing(self, tmp_path, kind):
+        assert main(["verify", kind, "--m", "1", "--out-dir", str(tmp_path),
                      "--no-meta"]) == 0
-        doc = json.loads((tmp_path / "verify_theorem_m1.json").read_text())
+        doc = json.loads((tmp_path / f"verify_{kind}_m1.json").read_text())
+        assert doc["status"] == "ok"
         assert "meta" not in doc
 
     def test_out_dir_defaults_to_the_environment(self, tmp_path, monkeypatch):
@@ -191,12 +200,39 @@ class TestVerify:
         assert capsys.readouterr() == ("", f"FAIL: {message}\n")
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("kind", ["theorem", "classical", "liealg", "kappa"])
-    def test_artifacts_match_benchmark_reference(self, tmp_path, kind):
-        # the same bytes the benchmark's verify-sweep checks: m = 1..12, and
-        # m = 1..4 for kappa
+    def test_differing_liealg_tables_fail_the_artifact(self, tmp_path, capsys, monkeypatch):
+        real = liealg.structure_constants
+
+        def drop_one_bracket(m):
+            table = real(m)
+            if m == 1:
+                return table
+            key = next(iter(table.brackets))
+            return dataclasses.replace(table, brackets={**table.brackets, key: {}})
+
+        monkeypatch.setattr(liealg, "structure_constants", drop_one_bracket)
+        assert main(["verify", "liealg", "--m", "1..2", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("verify liealg m=1: ok\nverify liealg m=2: failed\n",
+                                       "FAIL: m=2: structure constants differ from m=1\n")
+        doc = json.loads((tmp_path / "verify_liealg_m2.json").read_text())
+        assert (doc["status"], doc["identical_to_first"]) == ("failed", False)
+        assert main(["report", "--dir", str(tmp_path)]) == 2
+
+    @staticmethod
+    def sweep_ms(kind):
+        # the benchmark's verify-sweep: m = 1..12, and m = 1..4 for kappa
+        return range(1, 5 if kind == "kappa" else 13)
+
+    def test_reference_names_every_sweep_artifact(self):
         reference = json.loads(VERIFY_REFERENCE.read_text())
-        for m in range(1, 5 if kind == "kappa" else 13):
+        assert set(reference) == {f"verify_{kind}_m{m}.json" for kind in VERIFY_KINDS
+                                  for m in self.sweep_ms(kind)}
+
+    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    def test_artifacts_match_benchmark_reference(self, tmp_path, kind):
+        # the same bytes the benchmark's verify-sweep checks, one m per call
+        reference = json.loads(VERIFY_REFERENCE.read_text())
+        for m in self.sweep_ms(kind):
             assert main(["verify", kind, "--m", str(m), "--no-meta",
                          "--out-dir", str(tmp_path)]) == 0
             name = f"verify_{kind}_m{m}.json"
@@ -330,6 +366,23 @@ class TestExact:
     def test_missing_catalog_is_config_error(self, tmp_path):
         assert main(["exact", "--m", "2", "--catalog", "/nonexistent.json",
                      "--out-dir", str(tmp_path)]) == 4
+
+    def test_directory_as_catalog_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["exact", "--m", "1", "--catalog", str(tmp_path),
+                     "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_box_on_the_determinant_zero_set_is_config_error(self, tmp_path, catalog, capsys):
+        # u = -2 v_x / v with v = x: the matrix row is zero at x = 0, so
+        # the relative guard's scale is zero too
+        path = catalog([{"kind": "heat_polynomial", "degree": 1}])
+        out = tmp_path / "out"
+        assert main(["exact", "--m", "1", "--catalog", path, "--box", "0.5", "0.5", "0", "0",
+                     "--points", "1", "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_invalid_json_catalog_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "catalog.json"
@@ -646,6 +699,31 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, catalog):
 
 def test_unknown_subcommand_is_config_error():
     assert main(["frobnicate"]) == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "theorem", "--m", "1"],
+    ["exact", "--m", "2", "--catalog"],
+], ids=["verify", "exact"])
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "below-file"])
+def test_out_dir_that_is_a_file_is_config_error(tmp_path, catalog, capsys, command, under):
+    path = catalog(CATALOG_M2)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [*command, path] if command[0] == "exact" else command
+    assert main([*argv, "--out-dir", str(blocker.joinpath(*under))]) == 4
+    assert capsys.readouterr().err.startswith("config error:")
+    assert blocker.read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "catalog.json"]
+
+
+def test_out_that_is_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "target"
+    target.mkdir()
+    assert main(["gen", "--m", "1", "--out", str(target)]) == 4
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+    assert not any(target.iterdir())
 
 
 IMPORT_BOUNDARY = textwrap.dedent("""

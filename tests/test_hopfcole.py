@@ -344,6 +344,13 @@ class TestCertification:
         assert not sol.guard_ok(0.5, 1.0)
         assert sol.guard_ok(0.5, 3.0)
 
+    def test_guard_excludes_zero_rows(self):
+        # v = x: the matrix row and the determinant both vanish at x = 0,
+        # so the relative bound alone reads 0 >= 0
+        sol = solve_exact(1, [heat_polynomial(1)])
+        assert sol.guard_ok(0.5, 0.0) is False
+        assert sol.guard_ok(0.5, 0.1) is True
+
 
 class TestSympyOracle:
     @pytest.mark.parametrize("name", ["wave", "pair", "heatpoly-m3"])
